@@ -44,7 +44,7 @@ race:
 # test, session-lifecycle and reconnect paths run multiple times so the
 # scheduler explores more interleavings than one -race pass would.
 race-delivery:
-	$(GO) test -race -count=3 ./internal/multicast ./internal/daemon ./internal/netclient ./internal/netfault ./internal/client
+	$(GO) test -race -count=3 ./internal/multicast ./internal/fabric ./internal/daemon ./internal/relay ./internal/netclient ./internal/netfault ./internal/client
 
 # Coverage report with a hard floor on internal/metrics (see
 # METRICS_COVER_FLOOR above). The full-repo profile is informational;
@@ -62,8 +62,8 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Short-mode fan-out load harness: 500 real TCP sessions through the
-# split-process driver, shared path and per-session-encode ablation,
-# sanity-gating the delivery fabric on every CI run without the full
+# split-process driver, sanity-gating the delivery fabric on every CI
+# run without the full
 # 10k-session measurement (that lives in `make bench-save`). The second
 # run gates end-to-end latency: publish→receive p99 must be nonzero
 # (frames carried timestamps) and under a deliberately generous 2s
@@ -71,7 +71,7 @@ bench:
 # the relay smoke leg: one root → 2 relays → 500 sessions, exercising
 # the hierarchical tier's exact-delivery cross-checks end to end.
 loadtest:
-	$(GO) run ./cmd/qsubload -sessions 500 -channels 8 -cycles 2 -mode both
+	$(GO) run ./cmd/qsubload -sessions 500 -channels 8 -cycles 2
 	$(GO) run ./cmd/qsubload -sessions 500 -channels 8 -cycles 2 -latency -assert-p99 2s
 	$(GO) run ./cmd/qsubload -sessions 500 -channels 8 -cycles 2 -relays 2
 
@@ -105,9 +105,9 @@ bench-save:
 		-bench 'BenchmarkSolverScaleFull|BenchmarkSolverScalePruned|BenchmarkSolverScaleBudget|BenchmarkReplanChurn' \
 		-benchmem -benchtime 2x . \
 		| $(GO) run ./cmd/benchjson -o BENCH_solvers_scale.json
-	{ $(GO) run ./cmd/qsubload -sessions 2000 -channels 16 -cycles 3 -mode both -latency; \
+	{ $(GO) run ./cmd/qsubload -sessions 2000 -channels 16 -cycles 3 -latency; \
 	  $(GO) run ./cmd/qsubload -sessions 2000 -channels 16 -cycles 3 -relays 2 -latency; \
-	  $(GO) run ./cmd/qsubload -sessions 10000 -channels 64 -cycles 3 -timeout 10m -mode both -latency; } \
+	  $(GO) run ./cmd/qsubload -sessions 10000 -channels 64 -cycles 3 -timeout 10m -latency; } \
 		> /tmp/qsubload-fanout.txt
 	grep '^BenchmarkFanout' /tmp/qsubload-fanout.txt \
 		| $(GO) run ./cmd/benchjson -o BENCH_fanout.json
@@ -140,6 +140,9 @@ experiments:
 fuzz:
 	$(GO) test ./internal/wire -fuzz FuzzUnmarshalMessage -fuzztime 30s
 	$(GO) test ./internal/wire -fuzz FuzzUnmarshalSubscribe -fuzztime 30s
+	$(GO) test ./internal/wire -fuzz FuzzUnmarshalRelaySub -fuzztime 30s
+	$(GO) test ./internal/wire -fuzz FuzzUnmarshalRelayAck -fuzztime 30s
+	$(GO) test ./internal/wire -fuzz FuzzUnmarshalRelayCtl -fuzztime 30s
 	$(GO) test ./internal/geom -fuzz FuzzDisjointCover -fuzztime 30s
 	$(GO) test ./internal/geom -fuzz FuzzConvexHull -fuzztime 30s
 

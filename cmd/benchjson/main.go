@@ -15,8 +15,7 @@
 // BENCH_sharding.json (the sharded planning pipeline, including the
 // 100k-subscription acceptance rows) and BENCH_fanout.json (the
 // encode-once fan-out load harness: qsubload emits bench-compatible
-// lines from real-socket runs, shared path vs per-session-encode
-// ablation).
+// lines from real-socket runs, direct and through a relay tier).
 //
 // Standard benchmark lines parse into name, iterations, ns/op and — when
 // -benchmem is on — B/op and allocs/op; any custom b.ReportMetric units

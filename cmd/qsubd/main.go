@@ -66,7 +66,6 @@ func main() {
 		relayID       = flag.Int("relay-id", 1<<30, "client id the relay introduces its upstream feed session with (shares the client id space)")
 		relayChannels = flag.String("relay-channels", "", "comma-separated channel numbers to subscribe upstream (empty = all channels)")
 
-		perSession = flag.Bool("per-session-encode", false, "disable the encode-once fan-out fabric and re-encode every message per receiving session (ablation/debug)")
 		noStamps   = flag.Bool("no-timestamps", false, "do not stamp answer frames with a publish timestamp (reverts to the pre-timestamp wire format, disabling client latency tracking)")
 		readIdle   = flag.Duration("read-idle", 5*time.Minute, "drop a session that sends no frame for this long (0 disables)")
 		writeTO    = flag.Duration("write-timeout", daemon.DefaultWriteTimeout, "per-frame write deadline for session connections (0 disables)")
@@ -132,7 +131,6 @@ func main() {
 		log.Fatal(err)
 	}
 	d.Logf = log.Printf
-	d.PerSessionEncode = *perSession
 	d.DisableTimestamps = *noStamps
 	d.ReadIdleTimeout = *readIdle
 	d.WriteTimeout = *writeTO

@@ -5,9 +5,9 @@
 // cycle, and receives the merged answers of its channel as TypeAnswer
 // frames — the deployable version of the BADD dissemination loop (§2).
 //
-// The delivery layer is built to degrade gracefully under slow, dead and
-// reconnecting clients: per-session bounded multicast queues with a
-// slow-consumer policy (default: evict), read-idle and per-frame write
+// Delivery runs on the shared fabric (internal/fabric): every session is
+// one bounded multicast ring subscription drained by one forwarder, with
+// a slow-consumer policy (default: evict), read-idle and per-flush write
 // deadlines, a supersede rule so a reconnecting client id replaces its
 // half-open predecessor, and context-based graceful shutdown that drains
 // forwarders before closing connections.
@@ -18,12 +18,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"qsub/internal/fabric"
 	"qsub/internal/metrics"
 	"qsub/internal/multicast"
 	"qsub/internal/query"
@@ -38,13 +38,6 @@ const (
 	DefaultWriteTimeout     = 10 * time.Second
 	DefaultSubscriberBuffer = 256
 )
-
-// maxFanoutBatch caps how many queued frames a forwarder coalesces into
-// one vectored flush. 256 frames stays well under typical iovec limits
-// (IOV_MAX is 1024; net.Buffers chunks internally anyway) while
-// amortizing the per-flush deadline and syscall cost ~256x for deep
-// queues.
-const maxFanoutBatch = 256
 
 // Daemon is the network front end of a subscription server. Plans are
 // cached across cycles and recomputed only when subscriptions changed or
@@ -89,19 +82,12 @@ type Daemon struct {
 	// disables write deadlines. Set before Serve.
 	WriteTimeout time.Duration
 	// SubscriberBuffer is the per-session multicast delivery queue
-	// depth. Set before Serve.
+	// depth, per channel the session listens on. Set before Serve.
 	SubscriberBuffer int
 	// SlowPolicy decides what a publish does when a session's delivery
 	// queue is full (default multicast.Evict: the session is dropped and
 	// counted, and the publish cycle never blocks). Set before Serve.
 	SlowPolicy multicast.Policy
-	// PerSessionEncode disables the encode-once fabric and restores the
-	// pre-fabric delivery path: every forwarder re-marshals each message
-	// itself and writes it as its own frame, so a cycle at N subscribers
-	// costs N encodes and N frame-sized writes. Kept as the benchmark
-	// ablation/oracle for the shared-frame fast path; both paths put
-	// byte-identical frames on the wire. Set before the first cycle.
-	PerSessionEncode bool
 	// Now supplies publish timestamps and staleness clocks in UnixNano;
 	// nil uses the wall clock. Tests inject a fixed clock so published
 	// byte streams stay deterministic. Set before the first cycle.
@@ -111,7 +97,7 @@ type Daemon struct {
 	// pre-timestamp wire format. Set before the first cycle.
 	DisableTimestamps bool
 
-	encOnce sync.Once // installs the multicast encoder on the first cycle
+	clockOnce sync.Once // installs the publish clock on the first cycle
 
 	// ledger is the cycle pipeline ledger (see ledger.go); encodeNanos
 	// accumulates encode-once marshalling time for the current cycle's
@@ -128,36 +114,14 @@ func (d *Daemon) clockNano() int64 {
 	return time.Now().UnixNano()
 }
 
-// session is one connected TCP client.
+// session is one connected TCP client (or relay feed): its delivery
+// state on the fabric plus the query ids it registered.
 type session struct {
-	clientID int
-	conn     net.Conn
-
-	writeMu      sync.Mutex // serializes frames onto conn
-	writeTimeout time.Duration
+	*fabric.Session
 
 	mu      sync.Mutex
-	sub     *multicast.Subscription // current channel attachment
-	fwdDone chan struct{}           // closed when the current forwarder exits
-	queries map[query.ID]struct{}   // query ids this session registered
-	relay   bool                    // upgraded into a relay feed (see relay.go)
-	feeds   []*relayFeed            // relay-mode channel attachments
-	gone    bool                    // dropped or superseded; bind must not attach
-
-	// Lag bookkeeping, updated lock-free by the forwarder after each
-	// successful write: the newest delivered sequence number and when
-	// it went out. The per-cycle watermark pass (see lag.go) reads
-	// them to compute seq lag and staleness per session.
-	lastSeq       atomic.Uint64
-	lastWriteNano atomic.Int64
-}
-
-// noteWrite records a successful frame write for lag accounting. track
-// is the sequence watermark the write advances: the session's own for a
-// direct client, the feed's for one of a relay session's channel feeds.
-func (s *session) noteWrite(track *atomic.Uint64, nowNano int64, seq uint64) {
-	track.Store(seq)
-	s.lastWriteNano.Store(nowNano)
+	queries map[query.ID]struct{} // query ids this session registered
+	gone    bool                  // dropped or superseded
 }
 
 // trackQuery records a successfully registered query id. It reports
@@ -182,43 +146,23 @@ func (s *session) untrackQuery(id query.ID) {
 	s.mu.Unlock()
 }
 
-// takeTeardown flips the session into the gone state and hands the
-// caller everything that needs releasing: the current subscription, the
-// forwarder join channel, the relay channel feeds and the tracked query
-// ids.
-func (s *session) takeTeardown() (sub *multicast.Subscription, fwdDone chan struct{}, feeds []*relayFeed, ids []query.ID) {
+// takeQueries flips the session into the gone state and hands the
+// caller its tracked query ids for release.
+func (s *session) takeQueries() []query.ID {
 	s.mu.Lock()
 	s.gone = true
-	sub, s.sub = s.sub, nil
-	fwdDone, s.fwdDone = s.fwdDone, nil
-	feeds, s.feeds = s.feeds, nil
-	ids = make([]query.ID, 0, len(s.queries))
+	ids := make([]query.ID, 0, len(s.queries))
 	for id := range s.queries {
 		ids = append(ids, id)
 	}
 	s.queries = nil
 	s.mu.Unlock()
-	return sub, fwdDone, feeds, ids
+	return ids
 }
 
-// releaseTeardown cancels and joins everything takeTeardown returned
-// that is attached to the delivery layer: subscriptions are canceled,
-// the connection is closed (unblocking forwarders stuck in writes), and
-// every forwarder is joined.
-func releaseTeardown(conn net.Conn, sub *multicast.Subscription, fwdDone chan struct{}, feeds []*relayFeed) {
-	if sub != nil {
-		sub.Cancel()
-	}
-	for _, f := range feeds {
-		f.sub.Cancel()
-	}
-	conn.Close()
-	if fwdDone != nil {
-		<-fwdDone
-	}
-	for _, f := range feeds {
-		<-f.done
-	}
+// sendError queues an Error frame for the session.
+func (s *session) sendError(msg string) {
+	s.Enqueue(wire.TypeError, wire.MarshalError(wire.Error{Msg: msg}))
 }
 
 // New creates a daemon over a relation with the given channel count and
@@ -238,7 +182,7 @@ func New(rel *relation.Relation, channels int, cfg server.Config) (*Daemon, erro
 	if err != nil {
 		return nil, err
 	}
-	return &Daemon{
+	d := &Daemon{
 		srv:          srv,
 		net:          mnet,
 		metrics:      cfg.Metrics,
@@ -248,7 +192,17 @@ func New(rel *relation.Relation, channels int, cfg server.Config) (*Daemon, erro
 		WriteTimeout:     DefaultWriteTimeout,
 		SubscriberBuffer: DefaultSubscriberBuffer,
 		SlowPolicy:       multicast.Evict,
-	}, nil
+	}
+	// Encode once per publish: each message is marshalled into a
+	// complete TypeAnswer frame exactly once, and every forwarder writes
+	// that shared immutable slice directly.
+	mnet.SetEncoder(func(m multicast.Message) []byte {
+		t0 := time.Now()
+		buf := wire.AppendMessageFrame(nil, m)
+		d.encodeNanos.Add(time.Since(t0).Nanoseconds())
+		return buf
+	})
+	return d, nil
 }
 
 // Metrics returns the daemon's instrument catalog (never nil).
@@ -357,11 +311,25 @@ func (d *Daemon) handle(conn net.Conn) error {
 	if err != nil {
 		return err
 	}
-	sess := &session{clientID: hello.ClientID, conn: conn, writeTimeout: d.WriteTimeout}
+	// The session's ring subscription starts on no channel; RunCycle
+	// binds it once the plan assigns one.
+	sub, err := d.net.SubscribeSet(nil, d.SubscriberBuffer, d.SlowPolicy)
+	if err != nil {
+		return err
+	}
+	sess := &session{Session: fabric.New(hello.ClientID, conn, fabric.Options{
+		WriteTimeout: d.WriteTimeout,
+		Metrics:      d.metrics,
+		Now:          d.clockNano,
+		Channels:     d.net.Channels(),
+		Logf:         d.Logf,
+	})}
+	sess.Attach(d.net, sub)
 
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
+		sess.Close()
 		return errors.New("daemon: closed")
 	}
 	old := d.sessions[hello.ClientID]
@@ -386,30 +354,30 @@ func (d *Daemon) handle(conn net.Conn) error {
 			if err != nil {
 				return err
 			}
-			if err := d.srv.Subscribe(sess.clientID, sub.Query); err != nil {
+			if err := d.srv.Subscribe(sess.ID, sub.Query); err != nil {
 				sess.sendError(err.Error())
 			} else if !sess.trackQuery(sub.Query.ID) {
 				// Torn down between registration and tracking (a
 				// supersede racing a late frame): release immediately.
-				d.srv.Unsubscribe(sess.clientID, sub.Query.ID)
+				d.srv.Unsubscribe(sess.ID, sub.Query.ID)
 				return errors.New("daemon: session superseded")
 			} else {
 				d.markDirty()
 				d.record(trace.Event{Kind: trace.KindSubscribe,
-					ClientID: sess.clientID, QueryID: uint64(sub.Query.ID)})
+					ClientID: sess.ID, QueryID: uint64(sub.Query.ID)})
 			}
 		case wire.TypeUnsubscribe:
 			unsub, err := wire.UnmarshalUnsubscribe(payload)
 			if err != nil {
 				return err
 			}
-			if !d.srv.Unsubscribe(sess.clientID, unsub.ID) {
+			if !d.srv.Unsubscribe(sess.ID, unsub.ID) {
 				sess.sendError(fmt.Sprintf("no subscription with id %d", unsub.ID))
 			} else {
 				sess.untrackQuery(unsub.ID)
 				d.markDirty()
 				d.record(trace.Event{Kind: trace.KindUnsubscribe,
-					ClientID: sess.clientID, QueryID: uint64(unsub.ID)})
+					ClientID: sess.ID, QueryID: uint64(unsub.ID)})
 			}
 		case wire.TypeRelaySub:
 			// The session upgrades into a relay feed: it stops speaking
@@ -430,7 +398,7 @@ func (d *Daemon) handle(conn net.Conn) error {
 			d.planMu.Lock()
 			d.refreshForce = true
 			d.planMu.Unlock()
-			d.logf("daemon: client %d requested a full refresh", sess.clientID)
+			d.logf("daemon: client %d requested a full refresh", sess.ID)
 		case wire.TypeBye:
 			return nil
 		default:
@@ -444,17 +412,9 @@ func (d *Daemon) handle(conn net.Conn) error {
 // attachment, close its connection (unblocking any in-flight write),
 // join its forwarder and release its queries.
 func (d *Daemon) supersede(old *session) {
-	sub, fwdDone, feeds, ids := old.takeTeardown()
-	releaseTeardown(old.conn, sub, fwdDone, feeds)
-	for _, id := range ids {
-		d.srv.Unsubscribe(old.clientID, id)
-	}
-	if len(ids) > 0 {
-		d.markDirty()
-	}
-	d.releaseRelayClients(old)
+	d.release(old)
 	d.metrics.SessionsSuperseded.Inc()
-	d.logf("daemon: client %d superseded by a new connection", old.clientID)
+	d.logf("daemon: client %d superseded by a new connection", old.ID)
 }
 
 // dropSession removes a finished session and releases its queries so the
@@ -463,15 +423,21 @@ func (d *Daemon) supersede(old *session) {
 // throwaway plan and cannot leak subscriptions when planning would fail.
 func (d *Daemon) dropSession(sess *session) {
 	d.mu.Lock()
-	if d.sessions[sess.clientID] == sess {
-		delete(d.sessions, sess.clientID)
+	if d.sessions[sess.ID] == sess {
+		delete(d.sessions, sess.ID)
 	}
 	d.metrics.SessionsConnected.Set(int64(len(d.sessions)))
 	d.mu.Unlock()
-	sub, fwdDone, feeds, ids := sess.takeTeardown()
-	releaseTeardown(sess.conn, sub, fwdDone, feeds)
+	d.release(sess)
+}
+
+// release closes a session and releases its queries and the clients it
+// routed as a relay feed.
+func (d *Daemon) release(sess *session) {
+	ids := sess.takeQueries()
+	sess.Close()
 	for _, id := range ids {
-		d.srv.Unsubscribe(sess.clientID, id)
+		d.srv.Unsubscribe(sess.ID, id)
 	}
 	if len(ids) > 0 {
 		d.markDirty()
@@ -518,7 +484,13 @@ func (d *Daemon) Replans() int {
 // delta mode, a pending client refresh request (gap recovery) turns this
 // cycle's publish into full answers.
 func (d *Daemon) RunCycle(delta bool) (server.Report, error) {
-	d.ensureEncoder()
+	d.clockOnce.Do(func() {
+		if !d.DisableTimestamps {
+			// Stamp publishes at seq assignment so every frame carries
+			// its publish time for end-to-end latency accounting.
+			d.net.SetClock(d.clockNano)
+		}
+	})
 	rec := CycleRecord{
 		Cycle:         d.ledger.begin(),
 		StartUnixNano: d.clockNano(),
@@ -583,33 +555,37 @@ func (d *Daemon) RunCycle(delta bool) (server.Report, error) {
 			sessions = append(sessions, s)
 		}
 		d.mu.Unlock()
+		// Rebind and assignment run here, on the publishing goroutine,
+		// so on every session's ring the Assigned frame sits after the
+		// previous cycle's answers and before this cycle's: the client
+		// drains its old channel's tail, then switches.
 		for _, sess := range sessions {
-			ch, ok := cy.ClientChannel[sess.clientID]
+			ch, ok := cy.ClientChannel[sess.ID]
 			if !ok {
 				continue // no subscriptions this cycle
 			}
-			if err := d.bind(sess, ch); err != nil {
-				d.logf("daemon: bind client %d: %v", sess.clientID, err)
+			if err := sess.Rebind(d.net, ch); err != nil {
+				d.logf("daemon: bind client %d: %v", sess.ID, err)
 				continue
 			}
-			sess.send(wire.TypeAssigned, wire.MarshalAssigned(wire.Assigned{
+			sess.Enqueue(wire.TypeAssigned, wire.MarshalAssigned(wire.Assigned{
 				Channel:       ch,
 				EstimatedCost: cy.EstimatedCost,
 				InitialCost:   cy.InitialCost,
 			}))
 		}
 		// Clients subscribed through a relay have no multicast binding
-		// here — the relay's channel feeds carry their frames — but they
-		// still need their channel assignment. It travels wrapped on the
-		// owning relay session, ahead of this cycle's answer frames on
-		// the same TCP stream, so the relay rebinds the client before
-		// any frame of the new assignment arrives.
+		// here — the relay's feed carries their frames — but they still
+		// need their channel assignment. It travels wrapped on the
+		// owning relay session's ring, in the same publish order, so the
+		// relay rebinds the client exactly between the old and the new
+		// assignment's answer frames.
 		for _, rt := range d.relayRoutes() {
 			ch, ok := cy.ClientChannel[rt.id]
 			if !ok {
 				continue
 			}
-			rt.owner.send(wire.TypeRelayCtl, wire.MarshalRelayCtl(wire.RelayCtl{
+			rt.owner.Enqueue(wire.TypeRelayCtl, wire.MarshalRelayCtl(wire.RelayCtl{
 				ClientID: rt.id,
 				Inner:    wire.TypeAssigned,
 				Payload: wire.MarshalAssigned(wire.Assigned{
@@ -671,226 +647,6 @@ func (d *Daemon) RunCycle(delta bool) (server.Report, error) {
 	return rep, nil
 }
 
-// ensureEncoder installs the encode-once hook on the multicast network
-// before the first publish cycle (unless the per-session ablation is
-// selected): each published message is marshalled into a complete
-// TypeAnswer frame exactly once, and every forwarder writes that shared
-// immutable slice directly.
-func (d *Daemon) ensureEncoder() {
-	d.encOnce.Do(func() {
-		if !d.DisableTimestamps {
-			// Stamp publishes at seq assignment so every frame carries
-			// its publish time for end-to-end latency accounting. Both
-			// fan-out paths stamp: the ablation must stay byte-comparable.
-			d.net.SetClock(d.clockNano)
-		}
-		if d.PerSessionEncode {
-			return
-		}
-		d.net.SetEncoder(func(m multicast.Message) []byte {
-			t0 := time.Now()
-			buf := wire.AppendMessageFrame(nil, m)
-			d.encodeNanos.Add(time.Since(t0).Nanoseconds())
-			return buf
-		})
-	})
-}
-
-// bind attaches the session to the channel, replacing any previous
-// attachment, and starts the forwarder goroutine that turns multicast
-// messages into TypeAnswer frames. The old forwarder is canceled and
-// joined before the new subscription is installed, so a rebound session
-// can never interleave frames from two channels.
-func (d *Daemon) bind(sess *session, channel int) error {
-	sess.mu.Lock()
-	old, oldDone := sess.sub, sess.fwdDone
-	sess.sub, sess.fwdDone = nil, nil
-	sess.mu.Unlock()
-	if old != nil {
-		old.Cancel()
-	}
-	if oldDone != nil {
-		<-oldDone
-	}
-
-	// The shared-frame path consumes through a batch ring subscription
-	// (one queue swap per forwarder wakeup instead of one channel
-	// receive per frame); the per-session-encode ablation keeps the
-	// pre-fabric channel subscription so it measures the old delivery
-	// stack end to end.
-	var sub *multicast.Subscription
-	var err error
-	if d.PerSessionEncode {
-		sub, err = d.net.SubscribeWith(channel, d.SubscriberBuffer, d.SlowPolicy)
-	} else {
-		sub, err = d.net.SubscribeBatch(channel, d.SubscriberBuffer, d.SlowPolicy)
-	}
-	if err != nil {
-		return err
-	}
-	done := make(chan struct{})
-	sess.mu.Lock()
-	if sess.gone {
-		// The session was dropped while we were joining; don't leak a
-		// subscription nobody will ever cancel.
-		sess.mu.Unlock()
-		sub.Cancel()
-		return errors.New("daemon: session gone")
-	}
-	sess.sub, sess.fwdDone = sub, done
-	sess.mu.Unlock()
-
-	d.wg.Add(1)
-	go func() {
-		defer d.wg.Done()
-		defer close(done)
-		werr := d.forward(sess, sub, &sess.lastSeq)
-		if werr != nil {
-			sub.Cancel()
-		}
-		// An eviction can land while the forwarder is blocked in a
-		// write, so the evicted check must cover both exit paths.
-		switch {
-		case sub.Evicted():
-			d.metrics.SessionsEvicted.Inc()
-			d.logf("daemon: client %d evicted as a slow consumer on channel %d", sess.clientID, sub.Channel())
-			sess.sendError(fmt.Sprintf("evicted: delivery queue full on channel %d", sub.Channel()))
-			// The session cannot make progress without its answer
-			// stream; closing the conn lets the read loop tear the
-			// whole session down.
-			sess.conn.Close()
-		case werr != nil:
-			var ne net.Error
-			if errors.As(werr, &ne) && ne.Timeout() {
-				d.metrics.SessionsExpired.Inc()
-				d.metrics.SessionsExpiredWrite.Inc()
-			}
-			sess.conn.Close()
-		}
-	}()
-	return nil
-}
-
-// forward pumps the subscription's multicast messages onto the session
-// socket until the subscription ends (cancel, eviction, shutdown) or a
-// write fails. It returns the write error, if any; the caller owns
-// cancellation and teardown.
-func (d *Daemon) forward(sess *session, sub *multicast.Subscription, track *atomic.Uint64) error {
-	if d.PerSessionEncode {
-		return d.forwardPerSession(sess, sub, track)
-	}
-	return d.forwardShared(sess, sub, track)
-}
-
-// forwardPerSession is the ablation path: re-marshal every message in
-// this forwarder and write it as its own frame. One encode buffer per
-// forwarder — send finishes the write before returning, so the buffer is
-// reusable and steady state allocates nothing (but costs one encode and
-// one frame-sized write per subscriber per message).
-func (d *Daemon) forwardPerSession(sess *session, sub *multicast.Subscription, track *atomic.Uint64) error {
-	var buf []byte
-	for msg := range sub.C {
-		buf = wire.MarshalMessageAppend(buf[:0], msg)
-		d.metrics.FanoutEncodes.Inc()
-		d.metrics.FanoutBytes.Add(uint64(len(buf)) + wire.HeaderSize)
-		if err := sess.send(wire.TypeAnswer, buf); err != nil {
-			return err
-		}
-		d.metrics.FanoutFramesWritten.Inc()
-		d.metrics.FanoutFlushes.Inc()
-		sess.noteWrite(track, d.clockNano(), msg.Seq)
-	}
-	return nil
-}
-
-// forwardShared is the encode-once fast path: each delivered message
-// carries the shared immutable frame the publish cycle encoded, and the
-// forwarder writes that slice directly — no decode, no re-encode. The
-// subscription is a batch ring (see multicast.SubscribeBatch), so one
-// NextBatch call swaps out everything queued since the last wakeup;
-// frames are then coalesced (up to maxFanoutBatch) into vectored
-// flushes, so a deep queue costs one syscall per batch instead of two
-// per frame. The batch only ever holds aliases; frame bytes are never
-// copied or mutated here (net.Buffers consumes the slice headers, not
-// the shared arrays they point to).
-func (d *Daemon) forwardShared(sess *session, sub *multicast.Subscription, track *atomic.Uint64) error {
-	batch := make(net.Buffers, 0, maxFanoutBatch)
-	var fbuf []byte // frames for messages published before the encoder was installed
-	for {
-		msgs, ok := sub.NextBatch()
-		for len(msgs) > 0 {
-			n := len(msgs)
-			if n > maxFanoutBatch {
-				n = maxFanoutBatch
-			}
-			batch, fbuf = batch[:0], fbuf[:0]
-			var batchBytes uint64
-			shared := 0
-			for _, msg := range msgs[:n] {
-				frame := msg.Frame
-				if frame == nil {
-					// Rare pre-encoder publish: frame it locally.
-					// Appending at the tail keeps frames already batched
-					// valid even when the buffer grows (they stay on the
-					// old backing array).
-					start := len(fbuf)
-					fbuf = wire.AppendMessageFrame(fbuf, msg)
-					frame = fbuf[start:]
-					d.metrics.FanoutEncodes.Inc()
-				} else {
-					shared++
-				}
-				batch = append(batch, frame)
-				batchBytes += uint64(len(frame))
-			}
-			lastSeq := msgs[n-1].Seq
-			msgs = msgs[n:]
-			d.metrics.FanoutFramesShared.Add(uint64(shared))
-			d.metrics.FanoutBytes.Add(batchBytes)
-			if err := sess.sendBatch(batch); err != nil {
-				return err
-			}
-			d.metrics.FanoutFramesWritten.Add(uint64(len(batch)))
-			d.metrics.FanoutFlushes.Inc()
-			sess.noteWrite(track, d.clockNano(), lastSeq)
-		}
-		if !ok {
-			return nil
-		}
-	}
-}
-
-// sendBatch flushes a batch of ready-to-write frames to the session's
-// connection under a single write deadline. On TCP connections
-// net.Buffers turns the batch into one writev; other conns degrade to
-// sequential writes, still under one deadline and one lock acquisition.
-func (s *session) sendBatch(bufs net.Buffers) error {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	if s.writeTimeout > 0 {
-		s.conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-	}
-	_, err := bufs.WriteTo(s.conn)
-	return err
-}
-
-// send writes one frame to the session's connection under the
-// daemon's write deadline.
-func (s *session) send(frameType uint8, payload []byte) error {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	if s.writeTimeout > 0 {
-		s.conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-	}
-	return wire.WriteFrame(s.conn, frameType, payload)
-}
-
-func (s *session) sendError(msg string) {
-	if err := s.send(wire.TypeError, wire.MarshalError(wire.Error{Msg: msg})); err != nil {
-		log.Printf("daemon: sending error frame: %v", err)
-	}
-}
-
 // Close shuts the daemon down immediately: the multicast network closes
 // (ending all forwarders) and every session connection is closed.
 func (d *Daemon) Close() { d.shutdown(false) }
@@ -915,28 +671,13 @@ func (d *Daemon) shutdown(graceful bool) {
 	d.mu.Unlock()
 	if graceful {
 		for _, s := range sessions {
-			s.mu.Lock()
-			sub, done, feeds := s.sub, s.fwdDone, s.feeds
-			s.sub, s.fwdDone, s.feeds = nil, nil, nil
-			s.mu.Unlock()
-			if sub != nil {
-				sub.Cancel() // forwarder drains buffered answers, then exits
-			}
-			for _, f := range feeds {
-				f.sub.Cancel()
-			}
-			if done != nil {
-				<-done
-			}
-			for _, f := range feeds {
-				<-f.done
-			}
-			s.send(wire.TypeBye, nil) // best-effort farewell
+			s.Stop()                   // forwarder drains queued frames, then exits
+			s.Write(wire.TypeBye, nil) // best-effort farewell
 		}
 	}
 	d.net.Close()
 	for _, s := range sessions {
-		s.conn.Close()
+		s.Conn().Close()
 	}
 	d.wg.Wait()
 }

@@ -480,7 +480,9 @@ func TestDaemonReplansOnDrift(t *testing.T) {
 // plan, publish and drift events land in order with plausible contents.
 func TestDaemonTracing(t *testing.T) {
 	d, addr := startDaemon(t, 1)
-	var buf bytes.Buffer
+	// The write stage of a cycle may record after RunCycle returns, so
+	// the trace sink must be safe to read while the recorder writes.
+	var buf lockedBuffer
 	d.Trace = trace.NewRecorder(&buf, func() int64 { return 42 })
 
 	conn, err := Dial(addr, 1)
@@ -499,7 +501,7 @@ func TestDaemonTracing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	events, err := trace.Read(&buf)
+	events, err := trace.Read(bytes.NewReader(buf.snapshot()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,6 +520,25 @@ func TestDaemonTracing(t *testing.T) {
 			t.Fatalf("plan event contents wrong: %+v", ev)
 		}
 	}
+}
+
+// lockedBuffer is a bytes.Buffer safe for one writer and concurrent
+// snapshot readers.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) snapshot() []byte {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return append([]byte(nil), b.buf.Bytes()...)
 }
 
 func TestSaveLoadSubscriptions(t *testing.T) {

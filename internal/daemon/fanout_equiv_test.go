@@ -28,23 +28,26 @@ type fanoutCfg struct {
 }
 
 // fanoutWorld is the outcome of one daemon run: the exact bytes each
-// client read off its socket, plus the fan-out counter values.
+// client read off its socket, every published message (tapped per
+// channel), and the fan-out counter values.
 type fanoutWorld struct {
-	streams  map[int][]byte
-	messages int // sum of Report.Messages across cycles
-	encodes  uint64
-	shared   uint64
-	delivers uint64
-	bytes    uint64
+	streams   map[int][]byte
+	published map[[2]uint64]multicast.Message // by (channel, seq)
+	heads     map[int]uint64                  // last seq per channel
+	messages  int                             // sum of Report.Messages across cycles
+	encodes   uint64
+	shared    uint64
+	delivers  uint64
+	bytes     uint64
 }
 
 // runFanoutWorld builds a deterministic daemon world (seeded relation,
 // sequentially registered subscriptions, fixed solver seed), runs one
 // full cycle plus three delta cycles with seeded churn, shuts down
-// gracefully, and returns the raw per-client wire streams. Two calls
-// with the same cfg differ only in the perSession ablation flag, so
-// their streams must be byte-identical.
-func runFanoutWorld(t *testing.T, cfg fanoutCfg, perSession bool) fanoutWorld {
+// gracefully, and returns the raw per-client wire streams together
+// with every message the cycles published, read off a tap subscription
+// on each channel.
+func runFanoutWorld(t *testing.T, cfg fanoutCfg) fanoutWorld {
 	t.Helper()
 	bounds := geom.R(0, 0, 1000, 1000)
 	var rel *relation.Relation
@@ -68,15 +71,11 @@ func runFanoutWorld(t *testing.T, cfg fanoutCfg, perSession bool) fanoutWorld {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.PerSessionEncode = perSession
 	d.SlowPolicy = cfg.policy
-	// Byte-identical streams require identical publish timestamps, so
-	// both worlds run on the same fixed clock. The stamping path itself
-	// still runs — frames carry the timestamp field in both worlds.
 	d.Now = func() int64 { return 1_700_000_000_000_000_000 }
 	// Buffers are deep enough that no policy ever actually drops or
-	// evicts: the policies' enqueue paths run, but the streams stay
-	// deterministic and comparable.
+	// evicts: the policies' enqueue paths run, but every published
+	// message reaches every subscriber of its channel.
 	d.SubscriberBuffer = 4096
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -89,7 +88,7 @@ func runFanoutWorld(t *testing.T, cfg fanoutCfg, perSession bool) fanoutWorld {
 	}()
 
 	// Register clients strictly sequentially so the subscription
-	// registry — and therefore the plan — is identical across worlds.
+	// registry — and therefore the plan — is deterministic.
 	const clients = 6
 	conns := make([]net.Conn, clients)
 	for i := 0; i < clients; i++ {
@@ -116,9 +115,22 @@ func runFanoutWorld(t *testing.T, cfg fanoutCfg, perSession bool) fanoutWorld {
 		waitForSubscriptions(t, d, i+1)
 	}
 
+	// One tap per channel records every published message.
+	taps := make([]*multicast.Subscription, cfg.channels)
+	for ch := range taps {
+		taps[ch], err = d.Network().SubscribeWith(ch, 1<<16, multicast.Block)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	// Capture each client's raw byte stream until the daemon's graceful
 	// Bye (or close).
-	out := fanoutWorld{streams: make(map[int][]byte)}
+	out := fanoutWorld{
+		streams:   make(map[int][]byte),
+		published: make(map[[2]uint64]multicast.Message),
+		heads:     make(map[int]uint64),
+	}
 	var mu sync.Mutex
 	var readers sync.WaitGroup
 	for i, conn := range conns {
@@ -159,6 +171,12 @@ func runFanoutWorld(t *testing.T, cfg fanoutCfg, perSession bool) fanoutWorld {
 	}
 	d.Shutdown()
 	readers.Wait()
+	for ch, tap := range taps {
+		for msg := range tap.C {
+			out.published[[2]uint64{uint64(ch), msg.Seq}] = msg
+			out.heads[ch] = msg.Seq
+		}
+	}
 
 	cat := d.Metrics()
 	out.encodes = cat.FanoutEncodes.Load()
@@ -168,12 +186,73 @@ func runFanoutWorld(t *testing.T, cfg fanoutCfg, perSession bool) fanoutWorld {
 	return out
 }
 
-// TestFanoutWireEquivalence pins the tentpole's correctness half: the
-// shared-frame fast path and the per-session-encode ablation put
-// byte-identical streams on every client socket, across grid and R-tree
-// relations, single and multi channel, and all three slow-consumer
-// policies — while the fan-out counters confirm the fast path really
-// encoded once per message (vs once per delivery in the ablation).
+// oracleStream rebuilds a client's expected wire stream from the
+// published messages: every answer frame the client read is replaced by
+// the per-session encoding of the published message with the same
+// channel and sequence number — wire.MarshalMessageAppend framed by
+// wire.WriteFrame, the delivery path that predates encode-once — and
+// control frames are kept as read. It also checks completeness: after
+// each Assigned the answers run gap-free through their channel, and the
+// stream ends at the channel's last published message. It returns the
+// answer bytes the stream carried.
+func oracleStream(t *testing.T, w fanoutWorld, id int, got []byte) (want []byte, answerBytes uint64) {
+	t.Helper()
+	var oracle bytes.Buffer
+	r := bytes.NewReader(got)
+	ch, next := -1, uint64(0)
+	for {
+		ft, payload, err := wire.ReadFrame(r)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("client %d: unreadable stream: %v", id, err)
+		}
+		switch ft {
+		case wire.TypeAssigned:
+			a, err := wire.UnmarshalAssigned(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Channel != ch {
+				ch, next = a.Channel, 0
+			}
+			wire.WriteFrame(&oracle, ft, payload)
+		case wire.TypeAnswer:
+			m, err := wire.UnmarshalMessage(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Channel != ch {
+				t.Fatalf("client %d: answer on channel %d while assigned %d", id, m.Channel, ch)
+			}
+			if next != 0 && m.Seq != next {
+				t.Fatalf("client %d: channel %d seq %d follows %d", id, ch, m.Seq, next-1)
+			}
+			next = m.Seq + 1
+			pub, ok := w.published[[2]uint64{uint64(m.Channel), m.Seq}]
+			if !ok {
+				t.Fatalf("client %d: received unpublished message %d/%d", id, m.Channel, m.Seq)
+			}
+			wire.WriteFrame(&oracle, wire.TypeAnswer, wire.MarshalMessageAppend(nil, pub))
+			answerBytes += uint64(wire.HeaderSize + len(payload))
+		default:
+			wire.WriteFrame(&oracle, ft, payload)
+		}
+	}
+	if ch < 0 || next != w.heads[ch]+1 {
+		t.Fatalf("client %d: stream ends at channel %d seq %d, channel head is %d", id, ch, next-1, w.heads[ch])
+	}
+	return oracle.Bytes(), answerBytes
+}
+
+// TestFanoutWireEquivalence pins the encode-once fabric against a
+// per-session-encode oracle: the bytes on every client socket equal the
+// independent encoding of the published messages they carry, across
+// grid and R-tree relations, single and multi channel, and all three
+// slow-consumer policies — while the fan-out counters confirm the
+// fabric encoded once per message and shared that frame with every
+// delivery.
 func TestFanoutWireEquivalence(t *testing.T) {
 	scenarios := []fanoutCfg{
 		{rtree: false, channels: 1, policy: multicast.Block},
@@ -185,56 +264,38 @@ func TestFanoutWireEquivalence(t *testing.T) {
 	for _, cfg := range scenarios {
 		name := fmt.Sprintf("rtree=%v/channels=%d/policy=%d", cfg.rtree, cfg.channels, cfg.policy)
 		t.Run(name, func(t *testing.T) {
-			sharedW := runFanoutWorld(t, cfg, false)
-			ablation := runFanoutWorld(t, cfg, true)
-
-			if len(sharedW.streams) != len(ablation.streams) {
-				t.Fatalf("client count differs: %d vs %d", len(sharedW.streams), len(ablation.streams))
+			w := runFanoutWorld(t, cfg)
+			if len(w.streams) != 6 {
+				t.Fatalf("captured %d client streams, want 6", len(w.streams))
 			}
-			for id, got := range sharedW.streams {
-				want, ok := ablation.streams[id]
-				if !ok {
-					t.Fatalf("client %d missing from ablation world", id)
-				}
+			var answerBytes uint64
+			for id, got := range w.streams {
+				want, n := oracleStream(t, w, id, got)
+				answerBytes += n
 				if !bytes.Equal(got, want) {
 					i := 0
 					for i < len(got) && i < len(want) && got[i] == want[i] {
 						i++
 					}
-					t.Fatalf("client %d streams differ at byte %d (shared %d bytes, ablation %d bytes)",
+					t.Fatalf("client %d stream differs from the oracle at byte %d (fabric %d bytes, oracle %d bytes)",
 						id, i, len(got), len(want))
-				}
-				if len(got) == 0 {
-					t.Fatalf("client %d received an empty stream", id)
 				}
 			}
 
-			if sharedW.messages != ablation.messages {
-				t.Fatalf("cycles published %d vs %d messages", sharedW.messages, ablation.messages)
+			if len(w.published) != w.messages {
+				t.Fatalf("taps saw %d messages, cycles published %d", len(w.published), w.messages)
 			}
-			// Fast path: exactly one encode per published message, every
-			// delivery reused a shared frame. Ablation: one encode per
-			// delivery, nothing shared.
-			if sharedW.encodes != uint64(sharedW.messages) {
-				t.Errorf("shared world encoded %d frames for %d messages, want one encode per message",
-					sharedW.encodes, sharedW.messages)
+			// Exactly one encode per published message, and every client
+			// delivery reused that shared frame (the taps account for one
+			// delivery per message).
+			if w.encodes != uint64(w.messages) {
+				t.Errorf("encoded %d frames for %d messages, want one encode per message", w.encodes, w.messages)
 			}
-			if sharedW.shared != sharedW.delivers {
-				t.Errorf("shared world: %d shared-frame writes for %d deliveries", sharedW.shared, sharedW.delivers)
+			if w.shared+uint64(w.messages) != w.delivers {
+				t.Errorf("%d shared-frame writes for %d client deliveries", w.shared, w.delivers-uint64(w.messages))
 			}
-			if ablation.encodes != ablation.delivers {
-				t.Errorf("ablation world encoded %d frames for %d deliveries, want one per delivery",
-					ablation.encodes, ablation.delivers)
-			}
-			if ablation.shared != 0 {
-				t.Errorf("ablation world reported %d shared frames, want 0", ablation.shared)
-			}
-			if sharedW.bytes != ablation.bytes {
-				t.Errorf("fan-out bytes differ: shared %d, ablation %d", sharedW.bytes, ablation.bytes)
-			}
-			if sharedW.delivers > uint64(sharedW.messages) && sharedW.encodes >= ablation.encodes {
-				t.Errorf("fan-out with %d deliveries should encode fewer frames than the ablation (%d vs %d)",
-					sharedW.delivers, sharedW.encodes, ablation.encodes)
+			if w.bytes != answerBytes {
+				t.Errorf("fan-out bytes %d, clients read %d answer bytes", w.bytes, answerBytes)
 			}
 		})
 	}

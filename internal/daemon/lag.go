@@ -34,39 +34,9 @@ func (d *Daemon) sessionLags(nowNano int64) []SessionLag {
 
 	out := make([]SessionLag, 0, len(sessions))
 	for _, s := range sessions {
-		s.mu.Lock()
-		sub := s.sub
-		feeds := s.feeds
-		s.mu.Unlock()
-		lag := SessionLag{ClientID: s.clientID, Channel: -1}
-		if sub != nil {
-			lag.Channel = sub.Channel()
-			lag.QueueDepth = sub.Depth()
-			head := d.net.CurrentSeq(lag.Channel)
-			if last := s.lastSeq.Load(); head > last {
-				lag.SeqLag = head - last
-			}
-		}
-		// A relay session has one feed per channel; its lag entry is the
-		// worst feed, so a relay that stalls on any channel surfaces just
-		// like a slow direct session.
-		for _, f := range feeds {
-			ch := f.sub.Channel()
-			seqLag := uint64(0)
-			head := d.net.CurrentSeq(ch)
-			if last := f.lastSeq.Load(); head > last {
-				seqLag = head - last
-			}
-			if seqLag > lag.SeqLag || (seqLag == lag.SeqLag && f.sub.Depth() > lag.QueueDepth) {
-				lag.Channel = ch
-				lag.SeqLag = seqLag
-				lag.QueueDepth = f.sub.Depth()
-			}
-		}
-		if last := s.lastWriteNano.Load(); last != 0 && nowNano > last {
-			lag.StalenessMs = (nowNano - last) / 1e6
-		}
-		out = append(out, lag)
+		l := s.Lag(d.net, nowNano)
+		out = append(out, SessionLag{ClientID: s.ID, Channel: l.Channel,
+			SeqLag: l.SeqLag, QueueDepth: l.QueueDepth, StalenessMs: l.StalenessMs})
 	}
 	return out
 }

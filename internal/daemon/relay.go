@@ -1,11 +1,11 @@
 // Relay feed sessions: the daemon side of the relay tier. A relay
 // introduces itself like any client (Hello), then sends RelaySub with a
 // channel bitmask instead of subscribing queries. From that point the
-// session is a feed: one batch subscription per masked channel pumps the
-// shared encode-once answer frames onto the relay's connection through
-// the same forwardShared path direct sessions use, so the bytes a relay
-// re-fans out downstream are identical to what a direct client would
-// have received — sequence numbers included.
+// session is a feed: its ring subscription is rebound onto every masked
+// channel, and the same forwarder direct sessions use pumps the shared
+// encode-once answer frames onto the relay's connection, so the bytes a
+// relay re-fans out downstream are identical to what a direct client
+// would have received — sequence numbers included.
 //
 // The relay's own downstream clients stay first-class citizens of the
 // root's planning problem: their Hello/Subscribe/Unsubscribe/Refresh/Bye
@@ -20,24 +20,11 @@ package daemon
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
-	"qsub/internal/multicast"
 	"qsub/internal/query"
 	"qsub/internal/trace"
 	"qsub/internal/wire"
 )
-
-// relayFeed is one channel attachment of a relay session. A relay
-// session holds one feed per masked channel, each with its own
-// forwarder and sequence watermark (lag is accounted per feed, worst
-// feed wins the session's laggard entry).
-type relayFeed struct {
-	sub     *multicast.Subscription
-	channel int
-	done    chan struct{} // closed when the feed's forwarder exits
-	lastSeq atomic.Uint64
-}
 
 // relayClient is one downstream client routed through a relay session:
 // the relay that owns it and the query ids it registered, so relay
@@ -73,35 +60,30 @@ func (d *Daemon) handleRelay(sess *session, rs wire.RelaySub) error {
 	channels := wire.MaskChannels(rs.Mask, d.net.Channels())
 	if len(channels) == 0 {
 		sess.sendError("relay subscription selects no channels")
-		return fmt.Errorf("daemon: relay %d subscribed an empty channel set", sess.clientID)
+		return fmt.Errorf("daemon: relay %d subscribed an empty channel set", sess.ID)
 	}
-	sess.mu.Lock()
-	if sess.gone {
-		sess.mu.Unlock()
+	// The feed is a subscription on the channel set that replaces the
+	// session's empty one. The ack goes on the old ring, which the
+	// forwarder drains before the new one, so the relay reads it before
+	// the first answer frame.
+	if !sess.Enqueue(wire.TypeRelayAck, wire.MarshalRelayAck(wire.RelayAck{
+		Hop: 1, Channels: d.net.Channels(),
+	})) {
 		return errors.New("daemon: session superseded")
 	}
-	sess.relay = true
-	sess.mu.Unlock()
-
-	for _, ch := range channels {
-		if err := d.attachFeed(sess, ch); err != nil {
-			return fmt.Errorf("daemon: relay %d feed on channel %d: %w", sess.clientID, ch, err)
-		}
+	sub, err := d.net.SubscribeSet(channels, d.SubscriberBuffer, d.SlowPolicy)
+	if err != nil {
+		return fmt.Errorf("daemon: relay %d feed: %w", sess.ID, err)
+	}
+	if !sess.Attach(d.net, sub) {
+		return errors.New("daemon: session superseded")
 	}
 	d.metrics.RelaySessions.Add(1)
 	defer d.metrics.RelaySessions.Add(-1)
-	d.logf("daemon: relay %d feeding %d channels", sess.clientID, len(channels))
-
-	// The ack is sent after every feed is live: frames published after
-	// the relay reads it are guaranteed to reach the relay.
-	if err := sess.send(wire.TypeRelayAck, wire.MarshalRelayAck(wire.RelayAck{
-		Hop: 1, Channels: d.net.Channels(),
-	})); err != nil {
-		return err
-	}
+	d.logf("daemon: relay %d feeding %d channels", sess.ID, len(channels))
 
 	for {
-		ft, payload, err := d.readFrame(sess.conn)
+		ft, payload, err := d.readFrame(sess.Conn())
 		if err != nil {
 			return err
 		}
@@ -120,61 +102,13 @@ func (d *Daemon) handleRelay(sess *session, rs wire.RelaySub) error {
 			d.planMu.Lock()
 			d.refreshForce = true
 			d.planMu.Unlock()
-			d.logf("daemon: relay %d requested a full refresh", sess.clientID)
+			d.logf("daemon: relay %d requested a full refresh", sess.ID)
 		case wire.TypeBye:
 			return nil
 		default:
 			return fmt.Errorf("daemon: unexpected frame type %d from relay session", ft)
 		}
 	}
-}
-
-// attachFeed subscribes the relay session to one channel and starts a
-// forwarder pumping the channel's shared frames onto the relay's
-// connection. Unlike bind it never replaces an attachment — a relay's
-// channel set is fixed for the session's lifetime.
-func (d *Daemon) attachFeed(sess *session, channel int) error {
-	sub, err := d.net.SubscribeBatch(channel, d.SubscriberBuffer, d.SlowPolicy)
-	if err != nil {
-		return err
-	}
-	feed := &relayFeed{sub: sub, channel: channel, done: make(chan struct{})}
-	sess.mu.Lock()
-	if sess.gone {
-		sess.mu.Unlock()
-		sub.Cancel()
-		return errors.New("daemon: session gone")
-	}
-	sess.feeds = append(sess.feeds, feed)
-	sess.mu.Unlock()
-
-	d.wg.Add(1)
-	go func() {
-		defer d.wg.Done()
-		defer close(feed.done)
-		werr := d.forwardShared(sess, sub, &feed.lastSeq)
-		if werr != nil {
-			sub.Cancel()
-		}
-		switch {
-		case sub.Evicted():
-			d.metrics.SessionsEvicted.Inc()
-			d.logf("daemon: relay %d evicted as a slow consumer on channel %d", sess.clientID, channel)
-			sess.sendError(fmt.Sprintf("evicted: relay feed queue full on channel %d", channel))
-			// One stalled feed invalidates the whole relay stream
-			// (downstream clients would see holes); drop the session and
-			// let the relay reconnect and refresh.
-			sess.conn.Close()
-		case werr != nil:
-			var ne interface{ Timeout() bool }
-			if errors.As(werr, &ne) && ne.Timeout() {
-				d.metrics.SessionsExpired.Inc()
-				d.metrics.SessionsExpiredWrite.Inc()
-			}
-			sess.conn.Close()
-		}
-	}()
-	return nil
 }
 
 // handleRelayCtl processes one wrapped control frame from a relay
@@ -304,13 +238,13 @@ func (d *Daemon) releaseRelayClients(owner *session) {
 	if released > 0 {
 		d.markDirty()
 		d.logf("daemon: relay %d gone, released %d downstream clients (%d subscriptions)",
-			owner.clientID, len(drops), released)
+			owner.ID, len(drops), released)
 	}
 }
 
 // sendRelayError wraps an Error frame for a downstream client.
 func (s *session) sendRelayError(clientID int, msg string) {
-	s.send(wire.TypeRelayCtl, wire.MarshalRelayCtl(wire.RelayCtl{
+	s.Enqueue(wire.TypeRelayCtl, wire.MarshalRelayCtl(wire.RelayCtl{
 		ClientID: clientID,
 		Inner:    wire.TypeError,
 		Payload:  wire.MarshalError(wire.Error{Msg: msg}),

@@ -15,8 +15,7 @@
 // a shard, and the accounting stays exact either way. Counting frames
 // against that exact expectation is what lets the driver detect cycle
 // completion without guessing with sleeps, and makes the per-cycle
-// fan-out work identical between the shared-frame and
-// per-session-encode runs being compared.
+// fan-out work identical from run to run.
 //
 // Fan-out wall time is measured publish start → last answer frame
 // handed to the kernel (the daemon's frames-written counter), because
@@ -74,9 +73,6 @@ type Config struct {
 	// Cycles is the number of measured delta cycles after the
 	// bootstrap full cycle (default 3).
 	Cycles int
-	// PerSessionEncode selects the ablation daemon (see
-	// daemon.PerSessionEncode) instead of the shared-frame fabric.
-	PerSessionEncode bool
 	// Relays, when positive, inserts a relay tier between the daemon and
 	// the sessions: that many internal/relay instances run in the driver
 	// process, each feeding from the daemon as one privileged session,
@@ -221,7 +217,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.PerSessionEncode = cfg.PerSessionEncode
 	d.SlowPolicy = multicast.Block
 	d.SubscriberBuffer = cfg.SubscriberBuffer
 	d.WriteTimeout = cfg.Timeout
@@ -311,7 +306,6 @@ func (s *Server) Close() error {
 // over the measured window (bootstrap excluded).
 type Result struct {
 	Sessions, Channels, Cycles int
-	PerSessionEncode           bool
 	// Relays is the relay-tier width (0 = sessions dialed the daemon
 	// directly). With relays, Wall and the percentiles cover the full
 	// two-hop delivery, and the bench name gains a /relays=N segment so
@@ -365,19 +359,13 @@ func (r Result) BytesPerCycle() float64 {
 	return float64(r.FanoutBytes) / float64(r.Cycles)
 }
 
-// Mode names the delivery path under test.
-func (r Result) Mode() string {
-	if r.PerSessionEncode {
-		return "per-session-encode"
-	}
-	return "shared"
-}
-
 // benchName builds the bench identifier shared by BenchLine and
 // LatencyBenchLine. Relay runs get their own /relays=N name segment so
 // benchjson never compares them against direct-deployment baselines.
+// The mode=shared segment keeps the names of the rows recorded when a
+// second delivery path existed, so baselines still match.
 func (r Result) benchName(prefix string) string {
-	name := fmt.Sprintf("%s/sessions=%d/channels=%d/mode=%s", prefix, r.Sessions, r.Channels, r.Mode())
+	name := fmt.Sprintf("%s/sessions=%d/channels=%d/mode=shared", prefix, r.Sessions, r.Channels)
 	if r.Relays > 0 {
 		name += fmt.Sprintf("/relays=%d", r.Relays)
 	}
@@ -721,14 +709,20 @@ func Run(ctl Control, cfg Config) (Result, error) {
 	}
 
 	// Counter deltas for the measured window start here, after the
-	// bootstrap deliveries have fully drained. The relay tier counts a
-	// flushed frame an instant after the session receives it, so drain
-	// the tier (written caught up with delivered) before snapshotting.
+	// bootstrap deliveries have fully drained. Both tiers count a flushed
+	// frame an instant after the session receives it, so drain them
+	// (written caught up with delivered) before snapshotting.
 	if err := waitFor("relay bootstrap flush", relaysDrained); err != nil {
 		return Result{}, err
 	}
 	relayWrittenBase, relayIngestBase := relayWritten(), relayIngested()
-	base, err := ctl.Stats()
+	var base ServerStats
+	if err := waitFor("root bootstrap flush", func() bool {
+		base, err = ctl.Stats()
+		return err != nil || base.FramesWritten >= base.Deliveries
+	}); err != nil {
+		return Result{}, err
+	}
 	if err != nil {
 		return Result{}, err
 	}
@@ -818,28 +812,27 @@ func Run(ctl Control, cfg Config) (Result, error) {
 
 	frames := want - bootFrames
 	res := Result{
-		Sessions:         cfg.Sessions,
-		Channels:         cfg.Channels,
-		Cycles:           cfg.Cycles,
-		PerSessionEncode: cfg.PerSessionEncode,
-		Relays:           cfg.Relays,
-		FramesPerCycle:   frames / uint64(cfg.Cycles),
-		Frames:           frames,
-		Messages:         end.messages() - base.messages(),
-		Wall:             wall,
-		FramesPerSec:     float64(frames) / wall.Seconds(),
-		P50:              hist.Percentile(0.50),
-		P99:              hist.Percentile(0.99),
-		LatencyP50:       e2e.Percentile(0.50),
-		LatencyP90:       e2e.Percentile(0.90),
-		LatencyP99:       e2e.Percentile(0.99),
-		LatencyMax:       e2e.Max(),
-		LatencySamples:   e2e.count.Load(),
-		Encodes:          end.Encodes - base.Encodes,
-		FramesShared:     end.FramesShared - base.FramesShared,
-		FanoutBytes:      end.Bytes - base.Bytes,
-		Deliveries:       end.Deliveries - base.Deliveries,
-		Flushes:          end.Flushes - base.Flushes,
+		Sessions:       cfg.Sessions,
+		Channels:       cfg.Channels,
+		Cycles:         cfg.Cycles,
+		Relays:         cfg.Relays,
+		FramesPerCycle: frames / uint64(cfg.Cycles),
+		Frames:         frames,
+		Messages:       end.messages() - base.messages(),
+		Wall:           wall,
+		FramesPerSec:   float64(frames) / wall.Seconds(),
+		P50:            hist.Percentile(0.50),
+		P99:            hist.Percentile(0.99),
+		LatencyP50:     e2e.Percentile(0.50),
+		LatencyP90:     e2e.Percentile(0.90),
+		LatencyP99:     e2e.Percentile(0.99),
+		LatencyMax:     e2e.Max(),
+		LatencySamples: e2e.count.Load(),
+		Encodes:        end.Encodes - base.Encodes,
+		FramesShared:   end.FramesShared - base.FramesShared,
+		FanoutBytes:    end.Bytes - base.Bytes,
+		Deliveries:     end.Deliveries - base.Deliveries,
+		Flushes:        end.Flushes - base.Flushes,
 	}
 	return res, nil
 }

@@ -61,32 +61,6 @@ func TestLoadHarnessShort(t *testing.T) {
 	}
 }
 
-// TestLoadHarnessAblation runs the per-session-encode oracle at small
-// scale and pins its opposite accounting: one encode per delivery.
-func TestLoadHarnessAblation(t *testing.T) {
-	cfg := shortConfig()
-	cfg.Sessions = 96
-	cfg.Cycles = 2
-	cfg.PerSessionEncode = true
-	srv, err := NewServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	res, err := Run(srv, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("%s", res.BenchLine())
-	if res.Encodes != res.Deliveries || res.Deliveries != res.Frames {
-		t.Fatalf("ablation accounting: encodes %d, deliveries %d, frames %d — all should match",
-			res.Encodes, res.Deliveries, res.Frames)
-	}
-	if res.FramesShared != 0 {
-		t.Fatalf("ablation shared %d frames, want 0", res.FramesShared)
-	}
-}
-
 // TestLoadHarnessRelayTier runs the two-tier topology — one root, two
 // relays, sessions round-robined across them — and pins the
 // hierarchical fan-out accounting: the root encoded once per message

@@ -14,7 +14,9 @@ func drainAll(sub *Subscription) []Message {
 	var got []Message
 	for {
 		batch, ok := sub.NextBatch()
-		got = append(got, batch...)
+		for _, m := range batch {
+			got = append(got, *m)
+		}
 		if !ok {
 			return got
 		}

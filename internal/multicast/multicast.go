@@ -25,6 +25,7 @@ package multicast
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -74,11 +75,21 @@ type Message struct {
 	// SetEncoder) exactly once per Publish, after Seq assignment. Every
 	// subscriber of the channel receives the same backing array, so the
 	// slice is strictly read-only once Publish has run — forwarders,
-	// eviction drains and late readers all alias it. Nil when no encoder
-	// is installed (in-process simulation, or the per-session-encode
-	// ablation), in which case delivery layers encode per session.
+	// eviction drains and late readers all alias it. A publisher without
+	// an encoder may set Frame itself (a relay re-publishing upstream
+	// bytes verbatim); Publish then passes it through untouched. Nil in
+	// the in-process simulation.
 	Frame []byte
 }
+
+// ControlChannel is the Channel of a control frame queued with
+// Subscription.Enqueue: a ready-to-write Frame addressed to one
+// subscriber, carrying no answer, no Seq and no channel of its own.
+const ControlChannel = -1
+
+// Control reports whether the message is a control frame queued with
+// Subscription.Enqueue rather than a published answer.
+func (m *Message) Control() bool { return m.Channel == ControlChannel }
 
 // PayloadBytes returns the transmission size of the tuple payload plus
 // 8 bytes per removal notice.
@@ -200,6 +211,9 @@ type Network struct {
 	// and never mutate one in place, so Publish can deliver from the
 	// snapshot it read under mu without copying it per message.
 	subs [][]*Subscription
+	// members holds every live subscription, including batch
+	// subscriptions whose channel set is empty, so Close reaches them.
+	members map[*Subscription]struct{}
 
 	messagesPublished     atomic.Uint64
 	payloadBytesSent      atomic.Uint64
@@ -267,6 +281,7 @@ func NewNetwork(channels int, opts ...Option) (*Network, error) {
 		channels:   channels,
 		seqs:       make([]uint64, channels),
 		subs:       make([][]*Subscription, channels),
+		members:    make(map[*Subscription]struct{}),
 		perChannel: make([]channelCounters, channels),
 	}
 	for _, o := range opts {
@@ -342,18 +357,25 @@ const (
 
 // Subscription is one client's attachment to a channel. Messages arrive
 // on C; Cancel detaches and closes C. Subscriptions created with
-// SubscribeBatch have no C: their messages arrive in batches through
-// NextBatch, which replaces the per-delivery channel send with a
-// mutex-guarded ring append — the high-fan-out delivery path.
+// SubscribeBatch or SubscribeSet have no C: their messages arrive in
+// batches through NextBatch, which replaces the per-delivery channel
+// send with a mutex-guarded ring append — the high-fan-out delivery
+// path. A batch subscription listens on a channel set that Rebind can
+// re-point in place, and Enqueue slots per-subscriber control frames
+// into the same ring.
 type Subscription struct {
 	// C delivers the channel's messages in publish order. Nil for batch
 	// subscriptions (see SubscribeBatch / NextBatch).
 	C <-chan Message
 
-	net     *Network
-	channel int
-	policy  Policy
-	ch      chan Message
+	net    *Network
+	policy Policy
+	// channels is the channel set the subscription listens on, and
+	// detached is set once Cancel (or Close) removed it from the
+	// network; both are guarded by net.mu.
+	channels []int
+	detached bool
+	ch       chan Message
 	// ring replaces ch as the delivery queue for batch subscriptions.
 	ring *msgRing
 	// done closes when Cancel runs, releasing publishers blocked in a
@@ -378,30 +400,48 @@ type Subscription struct {
 // double-buffered slice queue. Producers append one message at a time
 // under mu; the single consumer swaps the whole queue out per NextBatch
 // call, so steady state moves messages without per-delivery channel
-// operations, allocations or copying. The wake and space channels carry
+// operations, allocations or copying: entries point at one shared copy
+// of each published message, so a delivery appends a pointer, not the
+// message. The wake and space channels carry
 // at most one token each: wake parks the consumer when the queue is
 // empty, space parks Block-policy publishers when it is full.
+//
+// The queue arrays start empty and grow to the deepest backlog the
+// subscriber actually sees, not to its capacity, so thousands of mostly
+// idle subscriptions stay cheap.
+//
+// Control frames (see Subscription.Enqueue) share the queue but not its
+// capacity: cap bounds the queued answers, len(buf) - ctl, so a control
+// frame can never fill the ring or evict its subscriber.
 type msgRing struct {
 	mu     sync.Mutex
-	buf    []Message
-	spare  []Message // previous batch, reused on the next swap
-	cap    int
+	buf    []*Message
+	spare  []*Message // previous batch, reused on the next swap
+	cap    int        // answer capacity: per-channel buffer × channels
+	buffer int        // per-channel buffer cap is derived from
+	ctl    int        // control frames queued in buf
 	closed bool
 	wake   chan struct{}
 	space  chan struct{}
 }
 
+// full reports whether the ring holds its answer capacity. Callers hold
+// mu.
+func (r *msgRing) full() bool { return len(r.buf)-r.ctl >= r.cap }
+
 // push appends one message under the ring's send gate. The wake token is
 // only sent on the empty→non-empty transition: a consumer parks only
 // after observing an empty queue under mu, so whichever producer makes
 // it non-empty again is guaranteed to leave a token behind.
-func (r *msgRing) push(msg Message) sendResult {
+func (r *msgRing) push(msg *Message) sendResult {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
 		return sendGone
 	}
-	if len(r.buf) >= r.cap {
+	if msg.Control() {
+		r.ctl++
+	} else if r.full() {
 		r.mu.Unlock()
 		return sendFull
 	}
@@ -429,8 +469,76 @@ func (r *msgRing) close() {
 	}
 }
 
-// Channel returns the channel index the subscription listens on.
-func (s *Subscription) Channel() int { return s.channel }
+// Channel returns the channel index the subscription listens on: the
+// first of its set, or -1 when the set is empty.
+func (s *Subscription) Channel() int {
+	s.net.mu.Lock()
+	defer s.net.mu.Unlock()
+	if len(s.channels) == 0 {
+		return -1
+	}
+	return s.channels[0]
+}
+
+// Channels returns a copy of the channel set the subscription listens
+// on.
+func (s *Subscription) Channels() []int {
+	s.net.mu.Lock()
+	defer s.net.mu.Unlock()
+	return append([]int(nil), s.channels...)
+}
+
+// Rebind re-points the subscription at a new channel set in place:
+// messages already queued stay queued and are consumed first, and every
+// message published on the new set after Rebind returns is delivered.
+// A batch subscription's answer capacity follows the set, at the
+// subscribe-time buffer per channel. Rebinding a canceled subscription
+// is a no-op.
+//
+// Ring order equals publish order only if Rebind runs on the goroutine
+// that publishes: a publish running concurrently on another goroutine
+// may or may not reach the subscription on the channels that changed.
+func (s *Subscription) Rebind(channels ...int) error {
+	n := s.net
+	set, err := n.channelSet(channels)
+	if err != nil {
+		return err
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if s.detached {
+		return nil
+	}
+	for _, c := range s.channels {
+		if !slices.Contains(set, c) {
+			n.subs[c] = without(n.subs[c], s)
+		}
+	}
+	for _, c := range set {
+		if !slices.Contains(s.channels, c) {
+			n.subs[c] = with(n.subs[c], s)
+		}
+	}
+	s.channels = set
+	if r := s.ring; r != nil {
+		r.mu.Lock()
+		r.cap = r.buffer * max(1, len(set))
+		r.mu.Unlock()
+	}
+	return nil
+}
+
+// Enqueue queues a ready-to-write control frame on a batch
+// subscription, behind every message already queued and ahead of every
+// later one: NextBatch returns it as a Message whose Control method
+// reports true. Control frames take no answer capacity, so under Block
+// an Enqueue never waits and under Evict it never evicts. It reports
+// false when the subscription has ended. Like Rebind, it orders the
+// frame against published answers only when called on the publishing
+// goroutine.
+func (s *Subscription) Enqueue(frame []byte) bool {
+	return s.ring.push(&Message{Channel: ControlChannel, Frame: frame}) == sendOK
+}
 
 // Depth returns the number of messages currently queued and not yet
 // consumed — the ring length for batch subscriptions, the channel
@@ -442,7 +550,7 @@ func (s *Subscription) Depth() int {
 	}
 	if s.ring != nil {
 		s.ring.mu.Lock()
-		d := len(s.ring.buf)
+		d := len(s.ring.buf) - s.ring.ctl
 		s.ring.mu.Unlock()
 		return d
 	}
@@ -480,12 +588,14 @@ func (s *Subscription) Cancel() {
 // is queued or the subscription ends. It swaps the whole delivery queue
 // out in one mutex-guarded exchange, so a deep queue costs one wakeup
 // regardless of depth. The returned slice is owned by the subscription
-// and valid only until the next NextBatch call. When ok is false the
-// subscription is finished (Cancel, eviction or network Close) and the
-// returned slice holds its final messages, possibly none. NextBatch
+// and valid only until the next NextBatch call; the messages it points
+// to are shared with every other subscriber and must not be modified.
+// When ok is false the subscription is finished (Cancel, eviction or
+// network Close) and the returned slice holds its final messages,
+// possibly none. NextBatch
 // must only be called from a single consumer goroutine; it panics on
 // channel-mode subscriptions.
-func (s *Subscription) NextBatch() (batch []Message, ok bool) {
+func (s *Subscription) NextBatch() (batch []*Message, ok bool) {
 	r := s.ring
 	for {
 		r.mu.Lock()
@@ -493,6 +603,7 @@ func (s *Subscription) NextBatch() (batch []Message, ok bool) {
 			out := r.buf
 			r.buf = r.spare[:0]
 			r.spare = out
+			r.ctl = 0
 			closed := r.closed
 			r.mu.Unlock()
 			// The queue just went empty: hand the space token to at most
@@ -512,10 +623,12 @@ func (s *Subscription) NextBatch() (batch []Message, ok bool) {
 	}
 }
 
-// trySend attempts a non-blocking delivery under the send gate.
-func (s *Subscription) trySend(msg Message) sendResult {
+// trySend attempts a non-blocking delivery under the send gate. Channel
+// subscriptions receive msg; batch subscriptions queue shared, the
+// publish's one heap copy of it.
+func (s *Subscription) trySend(msg Message, shared *Message) sendResult {
 	if s.ring != nil {
-		return s.ring.push(msg)
+		return s.ring.push(shared)
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -538,7 +651,7 @@ func (s *Subscription) trySend(msg Message) sendResult {
 // For batch subscriptions it loops on the ring's space token — the
 // consumer releases one token per drain — re-attempting the gated push
 // each time, so the send-on-closed guarantee holds without a WaitGroup.
-func (s *Subscription) blockingSend(msg Message) sendResult {
+func (s *Subscription) blockingSend(msg Message, shared *Message) sendResult {
 	if s.ring != nil {
 		for {
 			select {
@@ -546,7 +659,7 @@ func (s *Subscription) blockingSend(msg Message) sendResult {
 			case <-s.done:
 				return sendGone
 			}
-			if res := s.ring.push(msg); res != sendFull {
+			if res := s.ring.push(shared); res != sendFull {
 				return res
 			}
 		}
@@ -567,20 +680,50 @@ func (s *Subscription) blockingSend(msg Message) sendResult {
 	}
 }
 
-// detach removes the subscription from its channel's subscriber list.
+// detach removes the subscription from its channels' subscriber lists.
 func (n *Network) detach(s *Subscription) {
 	n.mu.Lock()
-	subs := n.subs[s.channel]
+	for _, c := range s.channels {
+		n.subs[c] = without(n.subs[c], s)
+	}
+	s.detached = true
+	delete(n.members, s)
+	n.mu.Unlock()
+}
+
+// with returns a fresh subscriber list with s appended. Lists are
+// immutable snapshots (see Network.subs), so it never appends in place.
+func with(subs []*Subscription, s *Subscription) []*Subscription {
+	next := make([]*Subscription, 0, len(subs)+1)
+	next = append(next, subs...)
+	return append(next, s)
+}
+
+// without returns a fresh subscriber list with s removed, or subs itself
+// when s is not on it.
+func without(subs []*Subscription, s *Subscription) []*Subscription {
 	for i, sub := range subs {
 		if sub == s {
 			next := make([]*Subscription, 0, len(subs)-1)
 			next = append(next, subs[:i]...)
-			next = append(next, subs[i+1:]...)
-			n.subs[s.channel] = next
-			break
+			return append(next, subs[i+1:]...)
 		}
 	}
-	n.mu.Unlock()
+	return subs
+}
+
+// channelSet validates a channel list and returns it sorted and
+// deduplicated.
+func (n *Network) channelSet(channels []int) ([]int, error) {
+	set := make([]int, 0, len(channels))
+	for _, c := range channels {
+		if c < 0 || c >= n.channels {
+			return nil, fmt.Errorf("multicast: channel %d outside [0,%d)", c, n.channels)
+		}
+		set = append(set, c)
+	}
+	slices.Sort(set)
+	return slices.Compact(set), nil
 }
 
 // Subscribe attaches a listener to the channel with the given delivery
@@ -608,18 +751,15 @@ func (n *Network) SubscribeWith(channel, buffer int, policy Policy) (*Subscripti
 	}
 	ch := make(chan Message, buffer)
 	sub := &Subscription{
-		C:       ch,
-		net:     n,
-		channel: channel,
-		policy:  policy,
-		ch:      ch,
-		done:    make(chan struct{}),
+		C:        ch,
+		net:      n,
+		channels: []int{channel},
+		policy:   policy,
+		ch:       ch,
+		done:     make(chan struct{}),
 	}
-	subs := n.subs[channel]
-	next := make([]*Subscription, 0, len(subs)+1)
-	next = append(next, subs...)
-	next = append(next, sub)
-	n.subs[channel] = next
+	n.subs[channel] = with(n.subs[channel], sub)
+	n.members[sub] = struct{}{}
 	return sub, nil
 }
 
@@ -634,8 +774,17 @@ func (n *Network) SubscribeWith(channel, buffer int, policy Policy) (*Subscripti
 // as with SubscribeWith. buffer is clamped to at least 1 (a batch
 // subscription has no rendezvous mode).
 func (n *Network) SubscribeBatch(channel, buffer int, policy Policy) (*Subscription, error) {
-	if channel < 0 || channel >= n.channels {
-		return nil, fmt.Errorf("multicast: channel %d outside [0,%d)", channel, n.channels)
+	return n.SubscribeSet([]int{channel}, buffer, policy)
+}
+
+// SubscribeSet attaches a batch-mode listener (see SubscribeBatch) to
+// every channel of a set, possibly empty. Its ring holds buffer answers
+// per channel — a relay feed on k channels keeps the headroom of k
+// single-channel subscriptions — and Rebind can re-point the set later.
+func (n *Network) SubscribeSet(channels []int, buffer int, policy Policy) (*Subscription, error) {
+	set, err := n.channelSet(channels)
+	if err != nil {
+		return nil, err
 	}
 	if buffer < 1 {
 		buffer = 1
@@ -645,24 +794,23 @@ func (n *Network) SubscribeBatch(channel, buffer int, policy Policy) (*Subscript
 	if n.closed {
 		return nil, fmt.Errorf("multicast: network closed")
 	}
+	capacity := buffer * max(1, len(set))
 	sub := &Subscription{
-		net:     n,
-		channel: channel,
-		policy:  policy,
+		net:      n,
+		channels: set,
+		policy:   policy,
 		ring: &msgRing{
-			buf:   make([]Message, 0, buffer),
-			spare: make([]Message, 0, buffer),
-			cap:   buffer,
-			wake:  make(chan struct{}, 1),
-			space: make(chan struct{}, 1),
+			cap:    capacity,
+			buffer: buffer,
+			wake:   make(chan struct{}, 1),
+			space:  make(chan struct{}, 1),
 		},
 		done: make(chan struct{}),
 	}
-	subs := n.subs[channel]
-	next := make([]*Subscription, 0, len(subs)+1)
-	next = append(next, subs...)
-	next = append(next, sub)
-	n.subs[channel] = next
+	for _, c := range set {
+		n.subs[c] = with(n.subs[c], sub)
+	}
+	n.members[sub] = struct{}{}
 	return sub, nil
 }
 
@@ -714,17 +862,21 @@ func (n *Network) Publish(msg Message) error {
 	n.perChannel[msg.Channel].payload.Add(payload)
 	var delivered, droppedCount uint64
 	var evicted []*Subscription
+	var shared *Message // heap copy for batch subscribers, made on first use
 	for i, sub := range targets {
 		if drop != nil && drop[i] {
 			n.dropped.Add(1)
 			droppedCount++
 			continue
 		}
-		res := sub.trySend(msg)
+		if sub.ring != nil && shared == nil {
+			shared = heapCopy(msg)
+		}
+		res := sub.trySend(msg, shared)
 		if res == sendFull {
 			switch sub.policy {
 			case Block:
-				res = sub.blockingSend(msg)
+				res = sub.blockingSend(msg, shared)
 			case DropNewest:
 				n.overflowDrops.Add(1)
 				droppedCount++
@@ -828,6 +980,7 @@ func (n *Network) PublishBatch(msgs []Message) error {
 
 	var delivered, deliveredBytes, lossDrops, overflow uint64
 	var evicted []*Subscription
+	var shared []Message // heap copy of the run for batch subscribers, made on first use
 	for ti, sub := range targets {
 		var dropRow []bool
 		if drop != nil {
@@ -842,11 +995,11 @@ func (n *Network) PublishBatch(msgs []Message) error {
 					lossDrops++
 					continue
 				}
-				res := sub.trySend(msgs[i])
+				res := sub.trySend(msgs[i], nil)
 				if res == sendFull {
 					switch sub.policy {
 					case Block:
-						res = sub.blockingSend(msgs[i])
+						res = sub.blockingSend(msgs[i], nil)
 					case DropNewest:
 						overflow++
 						continue
@@ -864,7 +1017,11 @@ func (n *Network) PublishBatch(msgs []Message) error {
 			continue
 		}
 		// Batch-mode subscriber: append the whole run under as few ring
-		// lock acquisitions as buffer space allows.
+		// lock acquisitions as buffer space allows. Every ring shares one
+		// heap copy of the run.
+		if shared == nil {
+			shared = append([]Message(nil), msgs...)
+		}
 		r := sub.ring
 		i := 0
 	run:
@@ -881,10 +1038,10 @@ func (n *Network) PublishBatch(msgs []Message) error {
 					i++
 					continue
 				}
-				if len(r.buf) >= r.cap {
+				if r.full() {
 					break
 				}
-				r.buf = append(r.buf, msgs[i])
+				r.buf = append(r.buf, &shared[i])
 				delivered++
 				deliveredBytes += payloads[i]
 				i++
@@ -931,6 +1088,10 @@ func (n *Network) PublishBatch(msgs []Message) error {
 	}
 	return nil
 }
+
+// heapCopy returns a copy of msg on the heap, for batch subscribers to
+// share.
+func heapCopy(msg Message) *Message { return &msg }
 
 // evictAll cancels subscribers whose buffers were full under the Evict
 // policy, counting and reporting each eviction.
@@ -980,9 +1141,9 @@ func (n *Network) Close() {
 		return
 	}
 	n.closed = true
-	var all []*Subscription
-	for _, subs := range n.subs {
-		all = append(all, subs...)
+	all := make([]*Subscription, 0, len(n.members))
+	for sub := range n.members {
+		all = append(all, sub)
 	}
 	n.mu.Unlock()
 	for _, sub := range all {

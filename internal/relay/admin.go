@@ -19,11 +19,8 @@ func (r *Relay) Status() daemon.Status {
 		Metrics: r.metrics.Snapshot(),
 		Build:   daemon.ReadBuild(),
 	}
-	r.smu.Lock()
-	st.Sessions = len(r.sessions)
-	r.smu.Unlock()
-
 	r.mu.Lock()
+	st.Sessions = len(r.sessions)
 	info := &daemon.RelayInfo{
 		Upstream:   r.cfg.Upstream,
 		Hop:        r.hop,

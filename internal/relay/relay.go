@@ -7,14 +7,22 @@
 // sequence numbers included, so netclient gap detection and Refresh
 // recovery work unchanged through any number of hops.
 //
+// Delivery runs on the same fabric as the root (internal/fabric). The
+// relay ingests each upstream answer frame by publishing it, still
+// encoded, on a local multicast.Network — one per upstream connection,
+// sized from the RelayAck — and every downstream connection is one ring
+// subscription on that network drained by one forwarder. Slow
+// downstream sessions are evicted exactly as at the root.
+//
 // Control remains end to end. A downstream client speaks the ordinary
 // query protocol to the relay; the relay wraps each control frame in
 // TypeRelayCtl and forwards it upstream, where the root registers the
 // subscription under the client's global id and plans it like any direct
-// client's. Channel assignments come back the same way — wrapped on the
-// relay session, ahead of the cycle's answer frames on the same TCP
-// stream — so the relay rebinds the client before the first frame of the
-// new assignment arrives.
+// client's. Channel assignments come back the same way, wrapped on the
+// relay's feed in publish order. The upstream read loop is the local
+// network's only publisher, and it rebinds a client and queues its
+// Assigned frame as it reads them, so the client's ring holds the old
+// channel's answers, then the Assigned, then the new channel's.
 //
 // The upstream link is resilient the way netclient sessions are:
 // exponential backoff with equal jitter, and on every reconnect the
@@ -35,7 +43,9 @@ import (
 	"sync"
 	"time"
 
+	"qsub/internal/fabric"
 	"qsub/internal/metrics"
+	"qsub/internal/multicast"
 	"qsub/internal/query"
 	"qsub/internal/wire"
 )
@@ -46,10 +56,10 @@ const (
 	DefaultSubscriberBuffer = 256
 )
 
-// maxWriteBatch caps how many queued frames a downstream writer
-// coalesces into one vectored flush (same rationale as the daemon's
-// maxFanoutBatch).
-const maxWriteBatch = 256
+// MaxUpstreamChannels bounds the channel count a RelayAck may announce.
+// The count sizes the relay's local network, so a value off the wire is
+// checked against a constant before anything is allocated.
+const MaxUpstreamChannels = 1 << 12
 
 // connReadBuffer sizes the buffered readers on both the upstream feed
 // and downstream session connections.
@@ -68,9 +78,10 @@ type Config struct {
 	// clients be assigned anywhere.
 	Channels []int
 
-	// SubscriberBuffer is the per-downstream-session frame queue depth
-	// (default DefaultSubscriberBuffer). A session whose queue fills is
-	// evicted, exactly like a slow consumer on the root daemon.
+	// SubscriberBuffer is the per-downstream-session queue depth, per
+	// channel the session listens on (default DefaultSubscriberBuffer).
+	// A session whose queue fills is evicted, exactly like a slow
+	// consumer on the root daemon.
 	SubscriberBuffer int
 	// WriteTimeout bounds each downstream flush and upstream control
 	// write (default DefaultWriteTimeout).
@@ -103,35 +114,11 @@ type route struct {
 	subs   map[query.ID][]byte
 }
 
-// dsession is one downstream session: a direct client or a downstream
-// relay. Frames fan out through a bounded queue drained by a dedicated
-// writer goroutine; enqueue order is write order, so a wrapped Assigned
-// always precedes the answer frames that follow it upstream.
+// dsession is one downstream session: a direct client or, once it sent
+// RelaySub, a downstream relay feed.
 type dsession struct {
-	clientID int
-	conn     net.Conn
-
-	relay bool     // downstream relay feed (RelaySub received)
-	mask  []uint64 // downstream relay's channel mask
-
-	out  chan []byte
-	quit chan struct{} // closed at teardown; writer exits
-	done chan struct{} // closed when the writer exited
-
-	// channel is the session's current binding, -1 when unbound;
-	// guarded by the relay's fanMu.
-	channel int
-}
-
-// enqueue queues one ready-to-write frame, reporting false when the
-// session's queue is full (the caller evicts).
-func (s *dsession) enqueue(frame []byte) bool {
-	select {
-	case s.out <- frame:
-		return true
-	default:
-		return false
-	}
+	*fabric.Session
+	feed bool // guarded by Relay.mu
 }
 
 // Relay is a running relay tier process.
@@ -139,9 +126,10 @@ type Relay struct {
 	cfg     Config
 	metrics *metrics.Catalog
 
-	// mu guards the routing table and the upstream connection's control
-	// writes. Registration and forwarding happen under one critical
-	// section, so a reconnect replay can neither miss nor double-send a
+	// mu guards the routing table, the upstream connection's state and
+	// control writes, the local network and the session set.
+	// Registration and forwarding happen under one critical section, so
+	// a reconnect replay can neither miss nor double-send a
 	// registration.
 	mu         sync.Mutex
 	routes     map[int]*route
@@ -150,13 +138,9 @@ type Relay struct {
 	hop        int
 	upChannels int
 	connects   int
-
-	// fanMu guards the data-plane fan-out tables.
-	fanMu     sync.Mutex
-	byChannel map[int][]*dsession
-	feeds     []*dsession
-
-	smu      sync.Mutex
+	// net is the local network of the current upstream connection, nil
+	// between connections. Only the upstream read loop publishes on it.
+	net      *multicast.Network
 	sessions map[*dsession]struct{}
 	closed   bool
 
@@ -189,11 +173,10 @@ func New(cfg Config) (*Relay, error) {
 		cfg.Metrics = metrics.NewCatalog(0)
 	}
 	return &Relay{
-		cfg:       cfg,
-		metrics:   cfg.Metrics,
-		routes:    make(map[int]*route),
-		byChannel: make(map[int][]*dsession),
-		sessions:  make(map[*dsession]struct{}),
+		cfg:      cfg,
+		metrics:  cfg.Metrics,
+		routes:   make(map[int]*route),
+		sessions: make(map[*dsession]struct{}),
 	}, nil
 }
 
@@ -252,17 +235,18 @@ func (r *Relay) Run(ctx context.Context, ln net.Listener) error {
 	return err
 }
 
-// shutdown tears down every downstream session.
+// shutdown disconnects every downstream session; their read loops tear
+// them down.
 func (r *Relay) shutdown() {
-	r.smu.Lock()
+	r.mu.Lock()
 	r.closed = true
 	sessions := make([]*dsession, 0, len(r.sessions))
 	for s := range r.sessions {
 		sessions = append(sessions, s)
 	}
-	r.smu.Unlock()
+	r.mu.Unlock()
 	for _, s := range sessions {
-		s.conn.Close()
+		s.Conn().Close()
 	}
 }
 
@@ -390,10 +374,12 @@ func (r *Relay) connectUpstream() (net.Conn, error) {
 	return conn, nil
 }
 
-// detachUpstream clears the upstream connection state after a feed ends,
-// and drops downstream relay sessions: the root released their clients
-// with ours, and only they hold the registrations to replay, so they
-// must reconnect and replay themselves.
+// detachUpstream clears the upstream connection state after a feed ends
+// and closes its local network. Direct clients keep their connections
+// (their forwarders drain and park until the next network) but
+// downstream relay sessions are dropped: the root released their
+// clients with ours, and only they hold the registrations to replay, so
+// they must reconnect and replay themselves.
 func (r *Relay) detachUpstream(conn net.Conn) {
 	conn.Close()
 	r.mu.Lock()
@@ -401,18 +387,70 @@ func (r *Relay) detachUpstream(conn net.Conn) {
 		r.uconn = nil
 		r.connected = false
 	}
+	mnet := r.net
+	r.net = nil
+	var feeds []*dsession
+	for s := range r.sessions {
+		if s.feed {
+			feeds = append(feeds, s)
+		}
+	}
 	r.mu.Unlock()
-	r.fanMu.Lock()
-	feeds := append([]*dsession(nil), r.feeds...)
-	r.fanMu.Unlock()
+	if mnet != nil {
+		mnet.Close()
+	}
 	for _, s := range feeds {
-		s.conn.Close()
+		s.Conn().Close()
 	}
 }
 
-// serveUpstream consumes the upstream feed until the connection ends.
+// attachLocked gives a downstream session a fresh ring subscription on
+// the current network, if there is one. Callers hold r.mu.
+func (r *Relay) attachLocked(s *dsession) {
+	if r.net == nil {
+		return
+	}
+	sub, err := r.net.SubscribeSet(nil, r.cfg.SubscriberBuffer, multicast.Evict)
+	if err != nil {
+		r.logf("relay: attach client %d: %v", s.ID, err)
+		return
+	}
+	s.Attach(r.net, sub)
+}
+
+// establish validates a RelayAck and builds the connection's local
+// network from it, attaching every direct client.
+func (r *Relay) establish(ack wire.RelayAck) (*multicast.Network, error) {
+	if ack.Channels < 1 || ack.Channels > MaxUpstreamChannels {
+		return nil, fmt.Errorf("relay: upstream acked %d channels, want 1..%d", ack.Channels, MaxUpstreamChannels)
+	}
+	mnet, err := multicast.NewNetwork(ack.Channels)
+	if err != nil {
+		return nil, err
+	}
+	m := r.metrics
+	mnet.SetMetrics(m.FanoutDeliveries, m.FanoutDropped, m.FanoutEvictions, nil)
+	r.mu.Lock()
+	r.net = mnet
+	r.connected = true
+	r.hop = ack.Hop
+	r.upChannels = ack.Channels
+	for s := range r.sessions {
+		r.attachLocked(s)
+	}
+	r.mu.Unlock()
+	m.RelayHop.Set(int64(ack.Hop))
+	r.logf("relay: feed established at hop %d (%d upstream channels)", ack.Hop, ack.Channels)
+	return mnet, nil
+}
+
+// serveUpstream consumes the upstream feed until the connection ends or
+// the upstream misbehaves: a second or out-of-bounds RelayAck, an answer
+// or control frame before the ack, or an answer on a channel outside it
+// ends the feed and the relay reconnects.
 func (r *Relay) serveUpstream(conn net.Conn) error {
 	br := bufio.NewReaderSize(conn, connReadBuffer)
+	var mnet *multicast.Network
 	var rbuf []byte
 	for {
 		ft, payload, err := wire.ReadFrameAppend(rbuf[:0], br)
@@ -422,28 +460,35 @@ func (r *Relay) serveUpstream(conn net.Conn) error {
 		}
 		switch ft {
 		case wire.TypeAnswer:
+			if mnet == nil {
+				return errors.New("relay: answer frame before the relay ack")
+			}
 			if len(payload) < 4 {
 				return errors.New("relay: short answer frame")
 			}
-			r.ingest(payload)
+			if err := r.ingest(mnet, payload); err != nil {
+				return err
+			}
 		case wire.TypeRelayAck:
+			if mnet != nil {
+				return errors.New("relay: second relay ack on one feed")
+			}
 			ack, err := wire.UnmarshalRelayAck(payload)
 			if err != nil {
 				return err
 			}
-			r.mu.Lock()
-			r.connected = true
-			r.hop = ack.Hop
-			r.upChannels = ack.Channels
-			r.mu.Unlock()
-			r.metrics.RelayHop.Set(int64(ack.Hop))
-			r.logf("relay: feed established at hop %d (%d upstream channels)", ack.Hop, ack.Channels)
+			if mnet, err = r.establish(ack); err != nil {
+				return err
+			}
 		case wire.TypeRelayCtl:
+			if mnet == nil {
+				return errors.New("relay: control frame before the relay ack")
+			}
 			rc, err := wire.UnmarshalRelayCtl(payload)
 			if err != nil {
 				return err
 			}
-			r.routeCtl(rc)
+			r.routeCtl(mnet, rc, payload)
 		case wire.TypeError:
 			e, err := wire.UnmarshalError(payload)
 			if err != nil {
@@ -458,63 +503,27 @@ func (r *Relay) serveUpstream(conn net.Conn) error {
 	}
 }
 
-// frameFor builds a complete wire frame (header + payload copy) ready to
-// enqueue. Downstream writers share the returned slice; it is immutable
-// from here on.
-func frameFor(frameType uint8, payload []byte) []byte {
-	frame := make([]byte, wire.HeaderSize+len(payload))
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(payload)))
-	frame[4] = frameType
-	copy(frame[wire.HeaderSize:], payload)
-	return frame
-}
-
-// ingest fans one upstream answer frame out to every downstream session
-// bound to (or masked onto) its channel. The frame bytes are copied out
-// of the read buffer exactly once and shared by every queue — the relay
-// never decodes the message, it routes on the payload's leading channel
-// field alone.
-func (r *Relay) ingest(payload []byte) {
+// ingest publishes one upstream answer frame on the local network. The
+// frame bytes are copied out of the read buffer exactly once and shared
+// by every subscriber's ring — the relay never decodes the message, it
+// routes on the payload's leading channel field alone, and the frame
+// keeps the upstream seq and timestamp verbatim.
+func (r *Relay) ingest(mnet *multicast.Network, payload []byte) error {
 	channel := int(binary.BigEndian.Uint32(payload[:4]))
-	frame := frameFor(wire.TypeAnswer, payload)
+	frame := fabric.Frame(wire.TypeAnswer, payload)
 	r.metrics.RelayFrames.Inc()
 	r.metrics.RelayBytes.Add(uint64(len(frame)))
-
-	r.fanMu.Lock()
-	defer r.fanMu.Unlock()
-	for _, s := range r.byChannel[channel] {
-		r.deliverLocked(s, frame, channel)
-	}
-	for _, s := range r.feeds {
-		if wire.MaskHas(s.mask, channel) {
-			r.deliverLocked(s, frame, channel)
-		}
-	}
-}
-
-// deliverLocked enqueues one frame, evicting the session if its queue is
-// full (the reader loop then tears it down like any dead connection).
-// Callers hold fanMu.
-func (r *Relay) deliverLocked(s *dsession, frame []byte, channel int) {
-	if s.enqueue(frame) {
-		r.metrics.FanoutDeliveries.Inc()
-		r.metrics.FanoutFramesShared.Inc()
-		return
-	}
-	r.metrics.FanoutDropped.Inc()
-	r.metrics.SessionsEvicted.Inc()
-	r.logf("relay: client %d evicted as a slow consumer on channel %d", s.clientID, channel)
-	s.conn.Close()
+	return mnet.Publish(multicast.Message{Channel: channel, Frame: frame})
 }
 
 // routeCtl dispatches one wrapped control frame from upstream to the
 // downstream session that owns the client. For a direct client the
 // wrapper is removed (the client speaks the plain protocol); for a
 // client behind a further relay the wrapped frame is forwarded verbatim.
-// Either way the frame travels through the session's ordered queue, so
-// an Assigned never overtakes — or is overtaken by — the answer frames
-// around it.
-func (r *Relay) routeCtl(rc wire.RelayCtl) {
+// Either way the frame is queued on the session's ring from the
+// publishing goroutine, so an Assigned never overtakes — or is
+// overtaken by — the answer frames around it.
+func (r *Relay) routeCtl(mnet *multicast.Network, rc wire.RelayCtl, raw []byte) {
 	r.mu.Lock()
 	rt := r.routes[rc.ClientID]
 	r.mu.Unlock()
@@ -522,7 +531,7 @@ func (r *Relay) routeCtl(rc wire.RelayCtl) {
 		return // client disconnected while the frame was in flight
 	}
 	if !rt.direct {
-		r.deliver(rt.sess, frameFor(wire.TypeRelayCtl, wire.MarshalRelayCtl(rc)), -1)
+		rt.sess.Enqueue(wire.TypeRelayCtl, raw)
 		return
 	}
 	if rc.Inner == wire.TypeAssigned {
@@ -531,46 +540,12 @@ func (r *Relay) routeCtl(rc wire.RelayCtl) {
 			r.logf("relay: bad assigned frame for client %d: %v", rc.ClientID, err)
 			return
 		}
-		r.rebind(rt.sess, a.Channel)
-	}
-	r.deliver(rt.sess, frameFor(rc.Inner, rc.Payload), -1)
-}
-
-// deliver is deliverLocked for callers not holding fanMu.
-func (r *Relay) deliver(s *dsession, frame []byte, channel int) {
-	r.fanMu.Lock()
-	r.deliverLocked(s, frame, channel)
-	r.fanMu.Unlock()
-}
-
-// rebind moves a direct session to a channel. Rebinding happens on the
-// upstream read loop before the Assigned frame is enqueued, and the
-// root orders each Assigned ahead of the cycle's answer frames on the
-// feed connection — so by the time the first new-channel frame reaches
-// ingest, the binding already points at the session.
-func (r *Relay) rebind(s *dsession, channel int) {
-	r.fanMu.Lock()
-	defer r.fanMu.Unlock()
-	if s.channel == channel {
-		return
-	}
-	if s.channel >= 0 {
-		r.byChannel[s.channel] = removeSession(r.byChannel[s.channel], s)
-	}
-	s.channel = channel
-	if channel >= 0 {
-		r.byChannel[channel] = append(r.byChannel[channel], s)
-	}
-}
-
-func removeSession(list []*dsession, s *dsession) []*dsession {
-	for i, v := range list {
-		if v == s {
-			list[i] = list[len(list)-1]
-			return list[:len(list)-1]
+		if err := rt.sess.Rebind(mnet, a.Channel); err != nil {
+			r.logf("relay: bind client %d: %v", rc.ClientID, err)
+			return
 		}
 	}
-	return list
+	rt.sess.Enqueue(rc.Inner, rc.Payload)
 }
 
 // forwardCtlLocked wraps one control frame for clientID and writes it
@@ -578,17 +553,7 @@ func removeSession(list []*dsession, s *dsession) []*dsession {
 // the frame — the registration is in the routing table and the next
 // reconnect replays it.
 func (r *Relay) forwardCtlLocked(clientID int, inner uint8, payload []byte) {
-	if r.uconn == nil {
-		return
-	}
-	if r.cfg.WriteTimeout > 0 {
-		r.uconn.SetWriteDeadline(time.Now().Add(r.cfg.WriteTimeout))
-	}
-	if err := wire.WriteFrame(r.uconn, wire.TypeRelayCtl,
-		wire.MarshalRelayCtl(wire.RelayCtl{ClientID: clientID, Inner: inner, Payload: payload})); err != nil {
-		r.logf("relay: upstream ctl write: %v", err)
-		r.uconn.Close() // the feed loop notices and reconnects
-	}
+	r.forwardRawLocked(wire.MarshalRelayCtl(wire.RelayCtl{ClientID: clientID, Inner: inner, Payload: payload}))
 }
 
 // forwardRawLocked writes an already-wrapped RelayCtl payload upstream
@@ -602,7 +567,7 @@ func (r *Relay) forwardRawLocked(payload []byte) {
 	}
 	if err := wire.WriteFrame(r.uconn, wire.TypeRelayCtl, payload); err != nil {
 		r.logf("relay: upstream ctl write: %v", err)
-		r.uconn.Close()
+		r.uconn.Close() // the feed loop notices and reconnects
 	}
 }
 
@@ -628,41 +593,39 @@ func (r *Relay) handle(conn net.Conn) error {
 		return err
 	}
 
-	s := &dsession{
-		clientID: hello.ClientID,
-		conn:     conn,
-		channel:  -1,
-		out:      make(chan []byte, r.cfg.SubscriberBuffer),
-		quit:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-	r.smu.Lock()
+	s := &dsession{Session: fabric.New(hello.ClientID, conn, fabric.Options{
+		WriteTimeout: r.cfg.WriteTimeout,
+		Metrics:      r.metrics,
+		Now:          func() int64 { return time.Now().UnixNano() },
+		Logf:         r.cfg.Logf,
+	})}
+	// Register, attach and route the client in one critical section, and
+	// announce it upstream. A reconnecting client id supersedes its
+	// predecessor, as on the root: the old session is disconnected and
+	// its registrations released upstream before the new Hello.
+	r.mu.Lock()
 	if r.closed {
-		r.smu.Unlock()
+		r.mu.Unlock()
 		return errors.New("relay: closed")
 	}
 	r.sessions[s] = struct{}{}
 	r.metrics.SessionsConnected.Set(int64(len(r.sessions)))
-	r.smu.Unlock()
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		r.writer(s)
-	}()
-	defer r.dropSession(s)
-
-	// Route and announce the client upstream. A reconnecting client id
-	// re-homes its route (the relay-side supersede; the root's own
-	// supersede rule does not fire because the relay session persists).
-	r.mu.Lock()
-	rt := r.routes[hello.ClientID]
-	if rt == nil || !rt.direct {
-		rt = &route{direct: true, subs: make(map[query.ID][]byte)}
-		r.routes[hello.ClientID] = rt
+	r.attachLocked(s)
+	var old *dsession
+	if prev := r.routes[hello.ClientID]; prev != nil && prev.direct {
+		old = prev.sess
+		r.forwardCtlLocked(hello.ClientID, wire.TypeBye, nil)
 	}
-	rt.sess = s
+	rt := &route{sess: s, direct: true, subs: make(map[query.ID][]byte)}
+	r.routes[hello.ClientID] = rt
 	r.forwardCtlLocked(hello.ClientID, wire.TypeHello, wire.MarshalHello(wire.Hello{ClientID: hello.ClientID}))
 	r.mu.Unlock()
+	defer r.dropSession(s)
+	if old != nil {
+		old.Close()
+		r.metrics.SessionsSuperseded.Inc()
+		r.logf("relay: client %d superseded by a new connection", hello.ClientID)
+	}
 
 	var rbuf []byte
 	for {
@@ -680,7 +643,7 @@ func (r *Relay) handle(conn net.Conn) error {
 			raw := append([]byte(nil), payload...)
 			r.mu.Lock()
 			rt.subs[sub.Query.ID] = raw
-			r.forwardCtlLocked(s.clientID, wire.TypeSubscribe, raw)
+			r.forwardCtlLocked(s.ID, wire.TypeSubscribe, raw)
 			r.mu.Unlock()
 		case wire.TypeUnsubscribe:
 			unsub, err := wire.UnmarshalUnsubscribe(payload)
@@ -689,11 +652,11 @@ func (r *Relay) handle(conn net.Conn) error {
 			}
 			r.mu.Lock()
 			delete(rt.subs, unsub.ID)
-			r.forwardCtlLocked(s.clientID, wire.TypeUnsubscribe, append([]byte(nil), payload...))
+			r.forwardCtlLocked(s.ID, wire.TypeUnsubscribe, append([]byte(nil), payload...))
 			r.mu.Unlock()
 		case wire.TypeReady, wire.TypeRefresh:
 			r.mu.Lock()
-			r.forwardCtlLocked(s.clientID, ft, nil)
+			r.forwardCtlLocked(s.ID, ft, nil)
 			r.mu.Unlock()
 		case wire.TypeRelaySub:
 			rs, err := wire.UnmarshalRelaySub(payload)
@@ -732,107 +695,48 @@ func (r *Relay) handle(conn net.Conn) error {
 }
 
 // upgradeFeed turns a downstream session into a relay feed of its own:
-// acknowledge one hop further from the root, and fan every masked
-// channel's frames into its queue. Masks are relative to the root's
-// channel space, which every tier shares.
+// acknowledge one hop further from the root, then replace its ring with
+// a subscription on every masked channel (the forwarder drains the ack
+// first). Masks are relative to the root's channel space,
+// which every tier shares. A feed needs the upstream's channel count, so
+// it is refused while the relay itself has no upstream feed; the
+// downstream relay retries with backoff.
 func (r *Relay) upgradeFeed(s *dsession, rs wire.RelaySub) error {
 	r.mu.Lock()
-	hop, channels := r.hop, r.upChannels
-	r.mu.Unlock()
-	s.relay = true
-	if len(rs.Mask) > 0 {
-		s.mask = append([]uint64(nil), rs.Mask...)
+	defer r.mu.Unlock()
+	if r.net == nil {
+		return errors.New("relay: feed requested while the upstream is down")
 	}
-	r.fanMu.Lock()
-	r.feeds = append(r.feeds, s)
-	r.fanMu.Unlock()
+	channels := wire.MaskChannels(rs.Mask, r.upChannels)
+	if len(channels) == 0 {
+		s.Enqueue(wire.TypeError, wire.MarshalError(wire.Error{Msg: "relay subscription selects no channels"}))
+		return fmt.Errorf("relay: downstream relay %d subscribed an empty channel set", s.ID)
+	}
+	if !s.Enqueue(wire.TypeRelayAck, wire.MarshalRelayAck(wire.RelayAck{Hop: r.hop + 1, Channels: r.upChannels})) {
+		return errors.New("relay: session gone")
+	}
+	sub, err := r.net.SubscribeSet(channels, r.cfg.SubscriberBuffer, multicast.Evict)
+	if err != nil {
+		return err
+	}
+	if !s.Attach(r.net, sub) {
+		return errors.New("relay: session gone")
+	}
+	s.feed = true
 	r.metrics.RelaySessions.Add(1)
-	return s.write(r.cfg.WriteTimeout, wire.TypeRelayAck,
-		wire.MarshalRelayAck(wire.RelayAck{Hop: hop + 1, Channels: channels}))
+	return nil
 }
 
-// write sends one frame directly on the session connection, bypassing
-// the queue (used only for the RelayAck handshake, before any frame can
-// be queued for the session).
-func (s *dsession) write(timeout time.Duration, frameType uint8, payload []byte) error {
-	if timeout > 0 {
-		s.conn.SetWriteDeadline(time.Now().Add(timeout))
-	}
-	return wire.WriteFrame(s.conn, frameType, payload)
-}
-
-// writer drains the session queue, coalescing bursts into vectored
-// flushes. It owns all post-handshake writes on the connection, so
-// queued frames go out in exactly enqueue order.
-func (r *Relay) writer(s *dsession) {
-	defer close(s.done)
-	batch := make(net.Buffers, 0, maxWriteBatch)
-	for {
-		var frame []byte
-		select {
-		case <-s.quit:
-			return
-		case frame = <-s.out:
-		}
-		batch = batch[:0]
-		batch = append(batch, frame)
-		var batchBytes uint64
-		batchBytes += uint64(len(frame))
-	fill:
-		for len(batch) < maxWriteBatch {
-			select {
-			case f := <-s.out:
-				batch = append(batch, f)
-				batchBytes += uint64(len(f))
-			default:
-				break fill
-			}
-		}
-		if err := r.flush(s, batch); err != nil {
-			s.conn.Close() // the session reader notices and tears down
-			return
-		}
-		r.metrics.FanoutFramesWritten.Add(uint64(len(batch)))
-		r.metrics.FanoutBytes.Add(batchBytes)
-		r.metrics.FanoutFlushes.Inc()
-	}
-}
-
-// flush writes one coalesced batch under the write deadline. The batch
-// is passed by value because net.Buffers.WriteTo consumes the slice it
-// is invoked on; the caller's copy stays intact for accounting and
-// reuse.
-func (r *Relay) flush(s *dsession, batch net.Buffers) error {
-	if r.cfg.WriteTimeout > 0 {
-		s.conn.SetWriteDeadline(time.Now().Add(r.cfg.WriteTimeout))
-	}
-	_, err := batch.WriteTo(s.conn)
-	return err
-}
-
-// dropSession tears one downstream session down: unbind it, release its
-// routes (announcing Bye upstream for every client it carried, so the
-// root unsubscribes them), and join its writer.
+// dropSession tears one downstream session down: release its routes
+// (announcing Bye upstream for every client it carried, so the root
+// unsubscribes them) and close it.
 func (r *Relay) dropSession(s *dsession) {
-	r.smu.Lock()
+	r.mu.Lock()
 	delete(r.sessions, s)
 	r.metrics.SessionsConnected.Set(int64(len(r.sessions)))
-	r.smu.Unlock()
-
-	r.fanMu.Lock()
-	if s.channel >= 0 {
-		r.byChannel[s.channel] = removeSession(r.byChannel[s.channel], s)
-		s.channel = -1
-	}
-	if s.relay {
-		r.feeds = removeSession(r.feeds, s)
-	}
-	r.fanMu.Unlock()
-	if s.relay {
+	if s.feed {
 		r.metrics.RelaySessions.Add(-1)
 	}
-
-	r.mu.Lock()
 	for id, rt := range r.routes {
 		if rt.sess != s {
 			continue
@@ -841,8 +745,5 @@ func (r *Relay) dropSession(s *dsession) {
 		r.forwardCtlLocked(id, wire.TypeBye, nil)
 	}
 	r.mu.Unlock()
-
-	s.conn.Close()
-	close(s.quit)
-	<-s.done
+	s.Close()
 }

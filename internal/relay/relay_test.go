@@ -81,16 +81,26 @@ func startRelay(t *testing.T, cfg Config) (*Relay, string, context.CancelFunc) {
 	return r, ln.Addr().String(), cancel
 }
 
+// waitFor polls pred until it holds, and keeps holding after a short
+// settle delay: predicates comparing counters of a stream that is still
+// flowing (a cycle just published) must not pass on a snapshot taken
+// before the cycle's frames arrived anywhere.
 func waitFor(t *testing.T, what string, pred func() bool) {
 	t.Helper()
 	deadline := time.After(5 * time.Second)
-	for !pred() {
+	for !(pred() && settled(pred)) {
 		select {
 		case <-deadline:
 			t.Fatalf("timed out waiting for %s", what)
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
+}
+
+// settled reports whether pred still holds after a settle delay.
+func settled(pred func() bool) bool {
+	time.Sleep(25 * time.Millisecond)
+	return pred()
 }
 
 func waitForQueries(t *testing.T, d *daemon.Daemon, n int) {

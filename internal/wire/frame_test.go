@@ -9,8 +9,8 @@ import (
 // TestAppendMessageFrameMatchesWriteFrame pins the encode-once contract:
 // the frame bytes AppendMessageFrame produces are exactly what
 // WriteFrame(w, TypeAnswer, MarshalMessage(m)) would have put on the
-// wire, so the shared-frame and per-session-encode paths are
-// byte-identical by construction.
+// wire, so a shared frame is byte-identical to encoding the message for
+// one session.
 func TestAppendMessageFrameMatchesWriteFrame(t *testing.T) {
 	m := benchMsg()
 	var legacy bytes.Buffer

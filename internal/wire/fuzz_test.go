@@ -84,3 +84,50 @@ func FuzzReadFrame(f *testing.F) {
 		}
 	})
 }
+
+func FuzzUnmarshalRelaySub(f *testing.F) {
+	f.Add(MarshalRelaySub(RelaySub{}))
+	f.Add(MarshalRelaySub(RelaySub{Mask: ChannelMask(0, 3, 70)}))
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rs, err := UnmarshalRelaySub(data)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(MarshalRelaySub(rs), data) {
+			t.Fatal("re-encoding differs from input")
+		}
+	})
+}
+
+func FuzzUnmarshalRelayAck(f *testing.F) {
+	f.Add(MarshalRelayAck(RelayAck{Hop: 1, Channels: 16}))
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xFF}, 8))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := UnmarshalRelayAck(data)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(MarshalRelayAck(a), data) {
+			t.Fatal("re-encoding differs from input")
+		}
+	})
+}
+
+func FuzzUnmarshalRelayCtl(f *testing.F) {
+	f.Add(MarshalRelayCtl(RelayCtl{ClientID: 42, Inner: TypeAssigned,
+		Payload: MarshalAssigned(Assigned{Channel: 3, EstimatedCost: 1.5, InitialCost: 2})}))
+	f.Add(MarshalRelayCtl(RelayCtl{ClientID: -1, Inner: TypeBye}))
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xFF}, 16))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rc, err := UnmarshalRelayCtl(data)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(MarshalRelayCtl(rc), data) {
+			t.Fatal("re-encoding differs from input")
+		}
+	})
+}

@@ -62,15 +62,6 @@ func MaskChannels(mask []uint64, total int) []int {
 	return out
 }
 
-// MaskHas reports whether the bitmask selects channel ch (nil/empty
-// masks select everything).
-func MaskHas(mask []uint64, ch int) bool {
-	if len(mask) == 0 {
-		return true
-	}
-	return ch >= 0 && ch/64 < len(mask) && mask[ch/64]&(1<<(ch%64)) != 0
-}
-
 // MarshalRelaySub encodes a RelaySub payload.
 func MarshalRelaySub(rs RelaySub) []byte {
 	var e encoder
