@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-delivery bench bench-save bench-compare check cover experiments fuzz loadtest clean
+.PHONY: all build test vet race race-delivery bench bench-save bench-compare bench-smoke check cover experiments fuzz loadtest clean
 
 # Coverage floor for the observability layer: the metrics registry is
 # the contract every hot path leans on, so its package stays near-fully
@@ -75,6 +75,12 @@ loadtest:
 	$(GO) run ./cmd/qsubload -sessions 500 -channels 8 -cycles 2 -latency -assert-p99 2s
 	$(GO) run ./cmd/qsubload -sessions 500 -channels 8 -cycles 2 -relays 2
 
+# Smoke run of the qsub benchmark (qsubbench/, its own module): the
+# fanout-direct, fanout-relay and churn-geo workloads at smoke size,
+# each through the benchmark's exactness gate. Seconds, not minutes.
+bench-smoke:
+	cd qsubbench && $(GO) test ./...
+
 # Runs the solver-engine, channel-allocation and dissemination-engine
 # benchmarks and records them as JSON for committing alongside the code
 # (see DESIGN.md "Solver engine" and "Dissemination engine").
@@ -143,6 +149,10 @@ fuzz:
 	$(GO) test ./internal/wire -fuzz FuzzUnmarshalRelaySub -fuzztime 30s
 	$(GO) test ./internal/wire -fuzz FuzzUnmarshalRelayAck -fuzztime 30s
 	$(GO) test ./internal/wire -fuzz FuzzUnmarshalRelayCtl -fuzztime 30s
+	$(GO) test ./internal/wire -fuzz FuzzUnmarshalHello -fuzztime 30s
+	$(GO) test ./internal/wire -fuzz FuzzUnmarshalUnsubscribe -fuzztime 30s
+	$(GO) test ./internal/wire -fuzz FuzzUnmarshalAssigned -fuzztime 30s
+	$(GO) test ./internal/wire -fuzz FuzzUnmarshalError -fuzztime 30s
 	$(GO) test ./internal/geom -fuzz FuzzDisjointCover -fuzztime 30s
 	$(GO) test ./internal/geom -fuzz FuzzConvexHull -fuzztime 30s
 

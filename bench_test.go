@@ -471,7 +471,7 @@ func BenchmarkMulticastFanout(b *testing.B) {
 		wg.Add(1)
 		go func(sub *Subscription) {
 			defer wg.Done()
-			for range sub.C {
+			for _, ok := sub.Next(); ok; _, ok = sub.Next() {
 			}
 		}(sub)
 	}
@@ -661,7 +661,7 @@ func BenchmarkSchedulerTick(b *testing.B) {
 	}
 	sub, _ := net.Subscribe(0, 4096)
 	go func() {
-		for range sub.C {
+		for _, ok := sub.Next(); ok; _, ok = sub.Next() {
 		}
 	}()
 	b.ResetTimer()
@@ -751,7 +751,7 @@ func BenchmarkDeltaWithDeletions(b *testing.B) {
 	}
 	sub, _ := net.Subscribe(0, 65536)
 	go func() {
-		for range sub.C {
+		for _, ok := sub.Next(); ok; _, ok = sub.Next() {
 		}
 	}()
 	if _, err := srv.PublishDelta(cy); err != nil { // baseline full delta

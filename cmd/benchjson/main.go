@@ -24,8 +24,10 @@
 //
 // compare matches benchmarks by name and flags any whose time/op or
 // allocs/op grew by more than the threshold (default 20%), exiting
-// nonzero when a regression is found. Benchmarks present on only one
-// side are reported but never fail the comparison.
+// nonzero when a regression is found. A baseline benchmark missing from
+// the new document fails the comparison too: a change that retires a
+// benchmark deletes its row from the committed baseline. Benchmarks
+// only in the new document are reported as new.
 package main
 
 import (
@@ -33,9 +35,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -207,6 +211,16 @@ func runCompare(args []string) {
 		fatal(err)
 	}
 
+	if compare(os.Stdout, oldDoc, newDoc, fs.Arg(0), *threshold) > 0 {
+		os.Exit(1)
+	}
+}
+
+// compare writes the comparison of newDoc against the baseline oldDoc
+// (read from oldPath) to w and returns the number of failures: rows
+// whose ns/op or allocs/op grew past threshold, plus baseline rows
+// missing from newDoc.
+func compare(w io.Writer, oldDoc, newDoc Document, oldPath string, threshold float64) int {
 	oldBy := make(map[string]Result, len(oldDoc.Benchmarks))
 	for _, r := range oldDoc.Benchmarks {
 		oldBy[r.Name] = r
@@ -216,7 +230,7 @@ func runCompare(args []string) {
 	for _, nw := range newDoc.Benchmarks {
 		old, ok := oldBy[nw.Name]
 		if !ok {
-			fmt.Printf("new      %-60s %12.0f ns/op (no baseline)\n", nw.Name, nw.NsPerOp)
+			fmt.Fprintf(w, "new      %-60s %12.0f ns/op (no baseline)\n", nw.Name, nw.NsPerOp)
 			continue
 		}
 		delete(oldBy, nw.Name)
@@ -227,9 +241,9 @@ func runCompare(args []string) {
 				return
 			}
 			growth := n/o - 1
-			if growth > *threshold {
+			if growth > threshold {
 				bad = true
-				fmt.Printf("WORSE    %-60s %s %12.0f -> %12.0f (%+.1f%%)\n",
+				fmt.Fprintf(w, "WORSE    %-60s %s %12.0f -> %12.0f (%+.1f%%)\n",
 					nw.Name, metric, o, n, growth*100)
 			}
 		}
@@ -238,18 +252,21 @@ func runCompare(args []string) {
 		if bad {
 			regressions++
 		} else {
-			fmt.Printf("ok       %-60s %12.0f -> %12.0f ns/op (%+.1f%%)\n",
+			fmt.Fprintf(w, "ok       %-60s %12.0f -> %12.0f ns/op (%+.1f%%)\n",
 				nw.Name, old.NsPerOp, nw.NsPerOp, (nw.NsPerOp/old.NsPerOp-1)*100)
 		}
 	}
+	missing := make([]string, 0, len(oldBy))
 	for name := range oldBy {
-		fmt.Printf("removed  %-60s (present only in %s)\n", name, fs.Arg(0))
+		missing = append(missing, name)
 	}
-	fmt.Printf("compared %d benchmarks, %d regressions (threshold %+.0f%%)\n",
-		matched, regressions, *threshold*100)
-	if regressions > 0 {
-		os.Exit(1)
+	sort.Strings(missing)
+	for _, name := range missing {
+		fmt.Fprintf(w, "MISSING  %-60s (in %s, absent from the new run; a retired benchmark is deleted from the baseline)\n", name, oldPath)
 	}
+	fmt.Fprintf(w, "compared %d benchmarks, %d regressions, %d missing (threshold %+.0f%%)\n",
+		matched, regressions, len(missing), threshold*100)
+	return regressions + len(missing)
 }
 
 func loadDocument(path string) (Document, error) {

@@ -316,11 +316,15 @@ func (c *Client) Handle(msg multicast.Message) {
 	c.stats.IrrelevantBytes += payload - relevant
 }
 
-// Consume drains the subscription until it is cancelled or its channel
-// closed, handling every message. It is intended to run on its own
-// goroutine.
+// Consume drains the subscription until it ends (Cancel, eviction or
+// network Close), handling every message. It is intended to run on its
+// own goroutine.
 func (c *Client) Consume(sub *multicast.Subscription) {
-	for msg := range sub.C {
+	for {
+		msg, ok := sub.Next()
+		if !ok {
+			return
+		}
 		c.Handle(msg)
 	}
 }

@@ -501,6 +501,9 @@ func (d *Daemon) RunCycle(delta bool) (server.Report, error) {
 	d.planMu.Lock()
 	drifted := d.drift.ShouldReplan()
 	needPlan := d.cycle == nil || d.dirty || drifted
+	// Clear dirty as it is read: a subscription change that lands while
+	// this cycle plans, with planMu released, marks the next cycle.
+	d.dirty = false
 	cy := d.cycle
 	forceFull := d.refreshForce
 	d.refreshForce = false
@@ -529,12 +532,12 @@ func (d *Daemon) RunCycle(delta bool) (server.Report, error) {
 		}
 		rec.BudgetExhausted = d.metrics.PlanBudgetExhausted.Load() > budgetBefore
 		if err != nil {
+			d.markDirty() // the changes this plan was for are still pending
 			return server.Report{}, err
 		}
 		cy = fresh
 		d.planMu.Lock()
 		d.cycle = fresh
-		d.dirty = false
 		d.replans++
 		d.drift.Reset()
 		d.estimate = d.srv.EstimatedTransmitBytes(fresh)

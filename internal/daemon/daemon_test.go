@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"qsub/internal/client"
+	"qsub/internal/core"
 	"qsub/internal/cost"
 	"qsub/internal/geom"
 	"qsub/internal/query"
@@ -441,6 +442,74 @@ func TestDaemonCachesPlans(t *testing.T) {
 	}
 	if got := d.Replans(); got != 2 {
 		t.Fatalf("replans = %d after subscription change, want 2", got)
+	}
+}
+
+// midSolveSubscriber is a merging algorithm that, on its first solve,
+// registers another subscription the way a session does, racing the
+// plan it is part of.
+type midSolveSubscriber struct {
+	d    *Daemon
+	once sync.Once
+}
+
+func (m *midSolveSubscriber) Name() string { return "mid-solve-subscriber" }
+
+func (m *midSolveSubscriber) Solve(inst *core.Instance) core.Plan {
+	m.once.Do(func() {
+		if err := m.d.srv.Subscribe(2, query.Range(2, geom.R(300, 300, 500, 500))); err != nil {
+			panic(err)
+		}
+		m.d.markDirty()
+	})
+	return core.PairMerge{}.Solve(inst)
+}
+
+// TestDaemonKeepsChangesMadeDuringPlanning: a subscription registered
+// while a cycle is planning is not in that plan, so the next cycle must
+// plan again and include it. A plan that fails leaves its changes
+// pending too.
+func TestDaemonKeepsChangesMadeDuringPlanning(t *testing.T) {
+	rel := relation.MustNew(geom.R(0, 0, 1000, 1000), 10, 10)
+	algo := &midSolveSubscriber{}
+	d, err := New(rel, 1, server.Config{Model: cost.Model{KM: 500, KT: 1, KU: 1}, Algorithm: algo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	algo.d = d
+	if err := d.srv.Subscribe(1, query.Range(1, geom.R(0, 0, 200, 200))); err != nil {
+		t.Fatal(err)
+	}
+	d.markDirty()
+	if _, err := d.RunCycle(false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.RunCycle(false); err != nil {
+		t.Fatal(err)
+	}
+	d.planMu.Lock()
+	replans, planned := d.replans, d.cycle.ClientChannel
+	d.planMu.Unlock()
+	if replans != 2 {
+		t.Fatalf("replans = %d, want 2: the subscription made during the first plan was lost", replans)
+	}
+	if _, ok := planned[2]; !ok {
+		t.Fatalf("client 2 unplanned after the next cycle: plan covers %v", planned)
+	}
+
+	// Planning with no subscriptions left fails; the change stays pending.
+	d.srv.Unsubscribe(1, 1)
+	d.srv.Unsubscribe(2, 2)
+	d.markDirty()
+	if _, err := d.RunCycle(false); err == nil {
+		t.Fatal("planning an empty subscription set succeeded")
+	}
+	d.planMu.Lock()
+	dirty := d.dirty
+	d.planMu.Unlock()
+	if !dirty {
+		t.Fatal("a failed plan cleared the pending subscription change")
 	}
 }
 

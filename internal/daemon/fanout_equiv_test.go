@@ -172,7 +172,7 @@ func runFanoutWorld(t *testing.T, cfg fanoutCfg) fanoutWorld {
 	d.Shutdown()
 	readers.Wait()
 	for ch, tap := range taps {
-		for msg := range tap.C {
+		for msg, ok := tap.Next(); ok; msg, ok = tap.Next() {
 			out.published[[2]uint64{uint64(ch), msg.Seq}] = msg
 			out.heads[ch] = msg.Seq
 		}

@@ -1,5 +1,5 @@
 // Package fabric is the delivery fabric the root daemon and the relay
-// tier share. Every connection is one Session: one multicast batch-ring
+// tier share. Every connection is one Session: one multicast ring
 // subscription that lasts as long as the session, drained by one
 // forwarder goroutine that writes the queued frames with vectored
 // writes in queue order. Answer frames reach the ring by publishing

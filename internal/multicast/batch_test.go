@@ -8,8 +8,8 @@ import (
 	"qsub/internal/relation"
 )
 
-// drainAll consumes a batch subscription until it ends, returning every
-// message in arrival order.
+// drainAll consumes a subscription with NextBatch until it ends,
+// returning every message in arrival order.
 func drainAll(sub *Subscription) []Message {
 	var got []Message
 	for {
@@ -23,17 +23,27 @@ func drainAll(sub *Subscription) []Message {
 	}
 }
 
+// drainNext consumes a subscription with Next until it ends, returning
+// every message in arrival order.
+func drainNext(sub *Subscription) []Message {
+	var got []Message
+	for {
+		m, ok := sub.Next()
+		if !ok {
+			return got
+		}
+		got = append(got, m)
+	}
+}
+
 func TestBatchSubscriptionDeliversInOrder(t *testing.T) {
 	n, err := NewNetwork(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := n.SubscribeBatch(1, 8, Block)
+	sub, err := n.SubscribeWith(1, 8, Block)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sub.C != nil {
-		t.Fatal("batch subscription must have a nil C")
 	}
 	const total = 20
 	done := make(chan []Message)
@@ -67,7 +77,7 @@ func TestBatchBlockPolicyBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := n.SubscribeBatch(0, 2, Block)
+	sub, err := n.SubscribeWith(0, 2, Block)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,12 +112,83 @@ func TestBatchBlockPolicyBackpressure(t *testing.T) {
 	}
 }
 
+// TestNextActsAsChannelReceive: Next pops one message at a time in
+// publish order across refills of a partly consumed ring, each pop
+// frees one slot for a parked Block publisher, NextBatch picks up
+// exactly where Next stopped, and a long one-at-a-time stream keeps the
+// queue array bounded.
+func TestNextActsAsChannelReceive(t *testing.T) {
+	n, err := NewNetwork(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := n.SubscribeWith(0, 4, Block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := func(want uint64) {
+		t.Helper()
+		if m, ok := sub.Next(); !ok || m.Seq != want {
+			t.Fatalf("Next = seq %d, ok=%v; want seq %d", m.Seq, ok, want)
+		}
+	}
+	publish := func(k int) {
+		t.Helper()
+		for i := 0; i < k; i++ {
+			if err := n.Publish(Message{Channel: 0}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	publish(4)
+	next(1)
+	next(2)
+	publish(2) // refills the two slots Next freed
+	if d := sub.Depth(); d != 4 {
+		t.Fatalf("Depth = %d, want 4", d)
+	}
+	blocked := make(chan error)
+	go func() { blocked <- n.Publish(Message{Channel: 0}) }()
+	select {
+	case <-blocked:
+		t.Fatal("publish returned with a full Block-policy ring")
+	case <-time.After(20 * time.Millisecond):
+	}
+	next(3) // one pop releases the parked publisher
+	if err := <-blocked; err != nil {
+		t.Fatal(err)
+	}
+	next(4)
+	batch, ok := sub.NextBatch()
+	if !ok || len(batch) != 3 || batch[0].Seq != 5 || batch[2].Seq != 7 {
+		t.Fatalf("NextBatch after Next = %d messages, ok=%v; want seqs 5..7", len(batch), ok)
+	}
+	// A reader that stays three behind for many messages keeps the
+	// queue array bounded: popped slots are reclaimed, not piled up.
+	publish(3)
+	for seq := uint64(8); seq < 1008; seq++ {
+		publish(1)
+		next(seq)
+	}
+	if c := cap(sub.ring.buf); c > 16 {
+		t.Fatalf("queue array grew to %d slots for a backlog of 3", c)
+	}
+	publish(1)
+	sub.Cancel()
+	for seq := uint64(1008); seq <= 1011; seq++ {
+		next(seq)
+	}
+	if _, ok := sub.Next(); ok {
+		t.Fatal("Next must report the end once the queue is drained after Cancel")
+	}
+}
+
 func TestBatchCancelReleasesBlockedPublisher(t *testing.T) {
 	n, err := NewNetwork(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := n.SubscribeBatch(0, 1, Block)
+	sub, err := n.SubscribeWith(0, 1, Block)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +214,7 @@ func TestBatchEvictPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := n.SubscribeBatch(0, 1, Evict)
+	sub, err := n.SubscribeWith(0, 1, Evict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +241,7 @@ func TestBatchDropNewestPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := n.SubscribeBatch(0, 1, DropNewest)
+	sub, err := n.SubscribeWith(0, 1, DropNewest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,8 +261,8 @@ func TestBatchDropNewestPolicy(t *testing.T) {
 }
 
 // TestBatchPublishCancelStress races concurrent publishers against
-// cancellation, mirroring the channel-mode stress test: no send after
-// close, no deadlock, every publisher released.
+// cancellation with every consumer draining by NextBatch until the end:
+// no send after close, no deadlock, every publisher released.
 func TestBatchPublishCancelStress(t *testing.T) {
 	n, err := NewNetwork(1)
 	if err != nil {
@@ -190,7 +271,7 @@ func TestBatchPublishCancelStress(t *testing.T) {
 	const subs = 8
 	var wg sync.WaitGroup
 	for i := 0; i < subs; i++ {
-		sub, err := n.SubscribeBatch(0, 4, Block)
+		sub, err := n.SubscribeWith(0, 4, Block)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,8 +305,9 @@ func TestBatchPublishCancelStress(t *testing.T) {
 }
 
 // TestPublishBatchEquivalence pins PublishBatch as observably equivalent
-// to per-message Publish: same streams (order, seqs, payloads) for both
-// ring-mode and channel-mode subscribers, same stats.
+// to per-message Publish: same streams (order, seqs, payloads) for a
+// subscriber drained with NextBatch and one drained with Next, same
+// stats.
 func TestPublishBatchEquivalence(t *testing.T) {
 	const total = 50
 	run := func(batch bool) ([]Message, []Message, Stats) {
@@ -233,24 +315,18 @@ func TestPublishBatchEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ringSub, err := n.SubscribeBatch(1, 8, Block)
+		batchSub, err := n.SubscribeWith(1, 8, Block)
 		if err != nil {
 			t.Fatal(err)
 		}
-		chanSub, err := n.SubscribeWith(1, 8, Block)
+		nextSub, err := n.SubscribeWith(1, 8, Block)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ringDone := make(chan []Message)
-		go func() { ringDone <- drainAll(ringSub) }()
-		chanDone := make(chan []Message)
-		go func() {
-			var got []Message
-			for m := range chanSub.C {
-				got = append(got, m)
-			}
-			chanDone <- got
-		}()
+		batchDone := make(chan []Message)
+		go func() { batchDone <- drainAll(batchSub) }()
+		nextDone := make(chan []Message)
+		go func() { nextDone <- drainNext(nextSub) }()
 		msgs := make([]Message, total)
 		for i := range msgs {
 			msgs[i] = Message{Channel: 1, Tuples: []relation.Tuple{{ID: uint64(i)}}}
@@ -268,10 +344,10 @@ func TestPublishBatchEquivalence(t *testing.T) {
 		}
 		st := n.Stats()
 		n.Close()
-		return <-ringDone, <-chanDone, st
+		return <-batchDone, <-nextDone, st
 	}
-	ringB, chanB, stB := run(true)
-	ringP, chanP, stP := run(false)
+	batchB, nextB, stB := run(true)
+	batchP, nextP, stP := run(false)
 	if stB != stP {
 		t.Errorf("stats differ: batch %+v, per-message %+v", stB, stP)
 	}
@@ -287,8 +363,8 @@ func TestPublishBatchEquivalence(t *testing.T) {
 			}
 		}
 	}
-	check("ring subscriber", ringB, ringP)
-	check("channel subscriber", chanB, chanP)
+	check("NextBatch subscriber", batchB, batchP)
+	check("Next subscriber", nextB, nextP)
 }
 
 // TestPublishBatchSeqContinuity pins that Publish and PublishBatch share
@@ -298,7 +374,7 @@ func TestPublishBatchSeqContinuity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := n.SubscribeBatch(0, 16, Block)
+	sub, err := n.SubscribeWith(0, 16, Block)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +406,7 @@ func TestPublishBatchBlockMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := n.SubscribeBatch(0, 3, Block)
+	sub, err := n.SubscribeWith(0, 3, Block)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +434,7 @@ func TestPublishBatchEvictMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := n.SubscribeBatch(0, 2, Evict)
+	sub, err := n.SubscribeWith(0, 2, Evict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +460,7 @@ func TestPublishBatchDropNewestMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := n.SubscribeBatch(0, 2, DropNewest)
+	sub, err := n.SubscribeWith(0, 2, DropNewest)
 	if err != nil {
 		t.Fatal(err)
 	}

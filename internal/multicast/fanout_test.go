@@ -64,7 +64,7 @@ func TestEncodeOncePerPublish(t *testing.T) {
 	shared := make(map[uint64]*byte)
 	for _, sub := range subs {
 		sub.Cancel()
-		for msg := range sub.C {
+		for _, msg := range drainNext(sub) {
 			if len(msg.Frame) == 0 {
 				t.Fatalf("message seq %d delivered without a frame", msg.Seq)
 			}
@@ -150,7 +150,11 @@ func TestSharedFrameImmutableUnderStress(t *testing.T) {
 			consumers.Add(1)
 			go func(sub *Subscription) {
 				defer consumers.Done()
-				for msg := range sub.C {
+				for {
+					msg, ok := sub.Next()
+					if !ok {
+						return
+					}
 					snapMu.Lock()
 					want := snaps[[2]uint64{uint64(msg.Channel), msg.Seq}]
 					snapMu.Unlock()
@@ -225,13 +229,45 @@ func TestPublishFrameMetricsAllocFree(t *testing.T) {
 			if err := net.Publish(msg); err != nil {
 				t.Fatal(err)
 			}
-			<-sub.C // drain so the buffer never overflows
+			sub.Next() // drain so the buffer never overflows
 		})
 	}
 	base, instrumented := run(false), run(true)
 	if instrumented != base {
 		t.Fatalf("Publish with fan-out metrics: %v allocs/op, uninstrumented %v — instrumentation must be allocation-free",
 			instrumented, base)
+	}
+}
+
+// TestPublishSingleFrameAllocs pins the relay ingest path: Publish of a
+// message whose Frame is already set costs one allocation — the heap
+// copy every subscriber's ring points into — however many subscribers
+// it reaches. Publish runs as a one-message PublishBatch, which must
+// keep the run's bookkeeping off the heap.
+func TestPublishSingleFrameAllocs(t *testing.T) {
+	net, err := NewNetwork(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs := make([]*Subscription, 4)
+	for i := range subs {
+		if subs[i], err = net.SubscribeWith(0, 1, Policy(i%3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	msg := Message{Channel: 0, Frame: []byte{1, 2, 3, 4}}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := net.Publish(msg); err != nil {
+			t.Fatal(err)
+		}
+		for _, sub := range subs {
+			if _, ok := sub.Next(); !ok {
+				t.Fatal("subscription ended")
+			}
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("single-frame Publish to %d subscribers: %v allocs/op, want at most 1", len(subs), allocs)
 	}
 }
 
@@ -242,7 +278,7 @@ func ExampleNetwork_SetEncoder() {
 	})
 	sub, _ := net.Subscribe(0, 1)
 	net.Publish(Message{Channel: 0})
-	msg := <-sub.C
+	msg, _ := sub.Next()
 	fmt.Println(string(msg.Frame))
 	// Output: frame(seq=1)
 }
@@ -275,7 +311,7 @@ func TestPublishClockStampAllocFree(t *testing.T) {
 			if err := net.Publish(msg); err != nil {
 				t.Fatal(err)
 			}
-			got := <-sub.C
+			got, _ := sub.Next()
 			if withClock && got.PublishedUnixNano != 1234567890 {
 				t.Fatalf("delivered stamp %d, want 1234567890", got.PublishedUnixNano)
 			}
@@ -312,13 +348,14 @@ func TestPublishBatchStampsWholeRun(t *testing.T) {
 	if err := net.PublishBatch(msgs); err != nil {
 		t.Fatal(err)
 	}
-	first := (<-sub.C).PublishedUnixNano
+	m, _ := sub.Next()
+	first := m.PublishedUnixNano
 	if first == 0 {
 		t.Fatal("batch message unstamped")
 	}
 	for i := 1; i < len(msgs); i++ {
-		if got := (<-sub.C).PublishedUnixNano; got != first {
-			t.Fatalf("batch message %d stamped %d, first was %d — one clock read per batch", i, got, first)
+		if m, _ := sub.Next(); m.PublishedUnixNano != first {
+			t.Fatalf("batch message %d stamped %d, first was %d — one clock read per batch", i, m.PublishedUnixNano, first)
 		}
 	}
 }

@@ -4,22 +4,22 @@
 // client, the query identifiers whose answers the message contains (the
 // extractor being the original query itself for selection queries).
 //
-// Clients subscribe to exactly one channel and receive every message
-// published on it, concurrently, each on its own goroutine-friendly Go
-// channel. The network keeps exact byte accounting (payload bytes sent,
-// delivered, and per-delivery fan-out) so experiments can compare measured
-// traffic against the cost model's size(M) and U(Q,M) predictions.
-// Optional random loss injection exercises client-side gap detection.
+// Clients subscribe to a channel (or a set of channels) and receive
+// every message published on it, concurrently, each from its own
+// delivery ring. The network keeps exact byte accounting (payload bytes
+// sent, delivered, and per-delivery fan-out) so experiments can compare
+// measured traffic against the cost model's size(M) and U(Q,M)
+// predictions. Optional random loss injection exercises client-side gap
+// detection.
 //
 // Delivery is crash-proof under concurrent cancellation: every
-// subscription carries a send gate (a mutex plus a closed flag) that
-// Publish checks before touching the subscriber's channel, so Cancel and
-// Close can never race a publish into a send on a closed channel. What
-// happens when a subscriber's buffer is full is a per-subscription
-// Policy: Block (backpressure, the simulator default), Evict (cancel the
-// slow consumer so one stalled client never holds up a publish cycle),
-// or DropNewest (skip the message for that subscriber, surfacing as a
-// sequence gap).
+// subscription's ring carries a send gate (a mutex plus a closed flag)
+// that Publish checks before appending, so Cancel and Close can never
+// race a publish into a finished queue. What happens when a
+// subscriber's ring is full is a per-subscription Policy: Block
+// (backpressure, the simulator default), Evict (cancel the slow consumer
+// so one stalled client never holds up a publish cycle), or DropNewest
+// (skip the message for that subscriber, surfacing as a sequence gap).
 package multicast
 
 import (
@@ -346,28 +346,14 @@ func (n *Network) CurrentSeq(channel int) uint64 {
 // concurrent publishing.
 func (n *Network) SetEvictHandler(h func(*Subscription)) { n.onEvict = h }
 
-// sendResult is the outcome of one delivery attempt.
-type sendResult int
-
-const (
-	sendOK   sendResult = iota // delivered
-	sendFull                   // buffer full, subscription still live
-	sendGone                   // subscription canceled
-)
-
-// Subscription is one client's attachment to a channel. Messages arrive
-// on C; Cancel detaches and closes C. Subscriptions created with
-// SubscribeBatch or SubscribeSet have no C: their messages arrive in
-// batches through NextBatch, which replaces the per-delivery channel
-// send with a mutex-guarded ring append — the high-fan-out delivery
-// path. A batch subscription listens on a channel set that Rebind can
-// re-point in place, and Enqueue slots per-subscriber control frames
-// into the same ring.
+// Subscription is one client's attachment to a channel set. Every
+// subscription queues its deliveries on one ring (see msgRing): a
+// delivery is a mutex-guarded pointer append, not a channel send. The
+// consumer takes messages one at a time with Next or swaps the whole
+// queue out with NextBatch, the path the high-fan-out forwarders use.
+// Rebind re-points the channel set in place, and Enqueue slots
+// per-subscriber control frames into the same ring.
 type Subscription struct {
-	// C delivers the channel's messages in publish order. Nil for batch
-	// subscriptions (see SubscribeBatch / NextBatch).
-	C <-chan Message
-
 	net    *Network
 	policy Policy
 	// channels is the channel set the subscription listens on, and
@@ -375,96 +361,73 @@ type Subscription struct {
 	// network; both are guarded by net.mu.
 	channels []int
 	detached bool
-	ch       chan Message
-	// ring replaces ch as the delivery queue for batch subscriptions.
-	ring *msgRing
-	// done closes when Cancel runs, releasing publishers blocked in a
-	// backpressure send before ch itself is closed.
+	ring     msgRing
+	// done closes when Cancel runs, releasing publishers blocked waiting
+	// for ring space.
 	done chan struct{}
 	once sync.Once
-
-	// mu and closed form the send gate: every send on ch happens either
-	// under mu with closed false, or registered in inflight while closed
-	// was false. Cancel flips closed under mu, wakes blocked senders via
-	// done, waits out inflight, and only then closes ch — so a send on a
-	// closed channel is impossible by construction. (Batch subscriptions
-	// gate through the ring's own mutex instead.)
-	mu       sync.Mutex
-	closed   bool
-	inflight sync.WaitGroup
 
 	evicted atomic.Bool
 }
 
-// msgRing is the delivery queue of a batch subscription: a bounded
-// double-buffered slice queue. Producers append one message at a time
-// under mu; the single consumer swaps the whole queue out per NextBatch
-// call, so steady state moves messages without per-delivery channel
+// msgRing is a subscription's delivery queue: a bounded double-buffered
+// slice queue. Producers append under mu; the single consumer pops one
+// message per Next call or swaps the whole queue out per NextBatch call,
+// so steady state moves messages without per-delivery channel
 // operations, allocations or copying: entries point at one shared copy
 // of each published message, so a delivery appends a pointer, not the
-// message. The wake and space channels carry
-// at most one token each: wake parks the consumer when the queue is
-// empty, space parks Block-policy publishers when it is full.
+// message. The wake and space channels carry at most one token each:
+// wake parks the consumer when the queue is empty, space parks
+// Block-policy publishers when it is full. A producer signals wake only
+// when it takes the queue from empty to non-empty: the consumer parks
+// only after observing an empty queue under mu, so that producer is
+// guaranteed to leave it a token.
 //
-// The queue arrays start empty and grow to the deepest backlog the
-// subscriber actually sees, not to its capacity, so thousands of mostly
-// idle subscriptions stay cheap.
+// mu and closed are the send gate: every delivery appends under mu
+// after checking closed, and Cancel sets closed under mu, so nothing
+// lands after a Cancel and no publisher waits on a canceled
+// subscription.
+//
+// The queue arrays start empty and grow with the deepest backlog the
+// subscriber actually sees (to at most twice it under Next), not to its
+// capacity, so thousands of mostly idle subscriptions stay cheap.
 //
 // Control frames (see Subscription.Enqueue) share the queue but not its
-// capacity: cap bounds the queued answers, len(buf) - ctl, so a control
-// frame can never fill the ring or evict its subscriber.
+// capacity: cap bounds the queued answers, so a control frame can never
+// fill the ring or evict its subscriber.
 type msgRing struct {
-	mu     sync.Mutex
+	mu sync.Mutex
+	// buf[head:] is the queue; head counts the messages Next popped
+	// since buf was last compacted. The queue is empty exactly when buf
+	// is: the pop that empties it compacts.
 	buf    []*Message
+	head   int
 	spare  []*Message // previous batch, reused on the next swap
 	cap    int        // answer capacity: per-channel buffer × channels
 	buffer int        // per-channel buffer cap is derived from
-	ctl    int        // control frames queued in buf
+	ctl    int        // control frames queued
 	closed bool
 	wake   chan struct{}
 	space  chan struct{}
 }
 
-// full reports whether the ring holds its answer capacity. Callers hold
-// mu.
-func (r *msgRing) full() bool { return len(r.buf)-r.ctl >= r.cap }
-
-// push appends one message under the ring's send gate. The wake token is
-// only sent on the empty→non-empty transition: a consumer parks only
-// after observing an empty queue under mu, so whichever producer makes
-// it non-empty again is guaranteed to leave a token behind.
-func (r *msgRing) push(msg *Message) sendResult {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return sendGone
-	}
-	if msg.Control() {
-		r.ctl++
-	} else if r.full() {
-		r.mu.Unlock()
-		return sendFull
-	}
-	r.buf = append(r.buf, msg)
-	first := len(r.buf) == 1
-	r.mu.Unlock()
-	if first {
-		select {
-		case r.wake <- struct{}{}:
-		default:
-		}
-	}
-	return sendOK
-}
+// answers returns the number of queued answers, control frames
+// excluded. Callers hold mu.
+func (r *msgRing) answers() int { return len(r.buf) - r.head - r.ctl }
 
 // close marks the ring finished and wakes a parked consumer so it can
-// observe the closed state. Buffered messages stay readable.
+// observe the closed state. Queued messages stay readable.
 func (r *msgRing) close() {
 	r.mu.Lock()
 	r.closed = true
 	r.mu.Unlock()
+	signal(r.wake)
+}
+
+// signal leaves a token on c unless one is already waiting there.
+func signal(c chan struct{}) {
 	select {
-	case r.wake <- struct{}{}:
+	case c <- struct{}{}:
 	default:
 	}
 }
@@ -491,9 +454,8 @@ func (s *Subscription) Channels() []int {
 // Rebind re-points the subscription at a new channel set in place:
 // messages already queued stay queued and are consumed first, and every
 // message published on the new set after Rebind returns is delivered.
-// A batch subscription's answer capacity follows the set, at the
-// subscribe-time buffer per channel. Rebinding a canceled subscription
-// is a no-op.
+// The answer capacity follows the set, at the subscribe-time buffer per
+// channel. Rebinding a canceled subscription is a no-op.
 //
 // Ring order equals publish order only if Rebind runs on the goroutine
 // that publishes: a publish running concurrently on another goroutine
@@ -520,98 +482,129 @@ func (s *Subscription) Rebind(channels ...int) error {
 		}
 	}
 	s.channels = set
-	if r := s.ring; r != nil {
-		r.mu.Lock()
-		r.cap = r.buffer * max(1, len(set))
-		r.mu.Unlock()
-	}
+	r := &s.ring
+	r.mu.Lock()
+	r.cap = r.buffer * max(1, len(set))
+	r.mu.Unlock()
 	return nil
 }
 
-// Enqueue queues a ready-to-write control frame on a batch
-// subscription, behind every message already queued and ahead of every
-// later one: NextBatch returns it as a Message whose Control method
-// reports true. Control frames take no answer capacity, so under Block
-// an Enqueue never waits and under Evict it never evicts. It reports
-// false when the subscription has ended. Like Rebind, it orders the
-// frame against published answers only when called on the publishing
-// goroutine.
+// Enqueue queues a ready-to-write control frame behind every message
+// already queued and ahead of every later one: Next and NextBatch return
+// it as a Message whose Control method reports true. Control frames take
+// no answer capacity, so under Block an Enqueue never waits and under
+// Evict it never evicts. It reports false when the subscription has
+// ended. Like Rebind, it orders the frame against published answers
+// only when called on the publishing goroutine.
 func (s *Subscription) Enqueue(frame []byte) bool {
-	return s.ring.push(&Message{Channel: ControlChannel, Frame: frame}) == sendOK
+	msg := &Message{Channel: ControlChannel, Frame: frame}
+	r := &s.ring
+	r.mu.Lock()
+	if r.closed {
+		r.mu.Unlock()
+		return false
+	}
+	r.ctl++
+	r.buf = append(r.buf, msg)
+	first := len(r.buf) == 1
+	r.mu.Unlock()
+	if first {
+		signal(r.wake)
+	}
+	return true
 }
 
-// Depth returns the number of messages currently queued and not yet
-// consumed — the ring length for batch subscriptions, the channel
-// backlog otherwise. It is a racy instantaneous read meant for lag
-// gauges, not for flow control.
+// Depth returns the number of answers currently queued and not yet
+// consumed. It is a racy instantaneous read meant for lag gauges, not
+// for flow control.
 func (s *Subscription) Depth() int {
 	if s == nil {
 		return 0
 	}
-	if s.ring != nil {
-		s.ring.mu.Lock()
-		d := len(s.ring.buf) - s.ring.ctl
-		s.ring.mu.Unlock()
-		return d
-	}
-	return len(s.ch)
+	s.ring.mu.Lock()
+	d := s.ring.answers()
+	s.ring.mu.Unlock()
+	return d
 }
 
 // Evicted reports whether the subscription was canceled by the Evict
 // slow-consumer policy (as opposed to an explicit Cancel or network
-// Close). Consumers see the eviction as their range loop over C ending;
-// Evicted tells them why.
+// Close). Consumers see the eviction as Next or NextBatch reporting the
+// end; Evicted tells them why.
 func (s *Subscription) Evicted() bool { return s.evicted.Load() }
 
-// Cancel detaches the subscription and closes its message channel.
-// Messages already buffered remain readable. Cancel is idempotent and
-// safe to call concurrently with Publish from any goroutine.
+// Cancel detaches the subscription and closes its ring. Messages already
+// queued remain readable. Cancel is idempotent and safe to call
+// concurrently with Publish from any goroutine.
 func (s *Subscription) Cancel() {
 	s.once.Do(func() {
 		s.net.detach(s)
-		if s.ring != nil {
-			s.ring.close()
-			close(s.done) // release publishers blocked waiting for space
-			return
-		}
-		s.mu.Lock()
-		s.closed = true
-		s.mu.Unlock()
-		close(s.done)     // release publishers blocked in backpressure
-		s.inflight.Wait() // no sender is touching ch anymore
-		close(s.ch)
+		s.ring.close()
+		close(s.done) // release publishers blocked waiting for space
 	})
 }
 
-// NextBatch returns the next batch of messages delivered to a batch
-// subscription (see SubscribeBatch), blocking until at least one message
-// is queued or the subscription ends. It swaps the whole delivery queue
-// out in one mutex-guarded exchange, so a deep queue costs one wakeup
-// regardless of depth. The returned slice is owned by the subscription
-// and valid only until the next NextBatch call; the messages it points
-// to are shared with every other subscriber and must not be modified.
-// When ok is false the subscription is finished (Cancel, eviction or
-// network Close) and the returned slice holds its final messages,
-// possibly none. NextBatch
-// must only be called from a single consumer goroutine; it panics on
-// channel-mode subscriptions.
-func (s *Subscription) NextBatch() (batch []*Message, ok bool) {
-	r := s.ring
+// Next returns the next message delivered to the subscription, blocking
+// until one is queued or the subscription ends. It pops exactly one
+// message and hands one space token to a publisher parked in a Block
+// wait, as a receive on a buffered channel of the ring's capacity would,
+// so Depth and the slow-consumer policies count what such a channel
+// counted. After Cancel, eviction or network Close it returns the queued
+// messages, then ok false. Next must only be called from a single
+// consumer goroutine.
+func (s *Subscription) Next() (msg Message, ok bool) {
+	r := &s.ring
 	for {
 		r.mu.Lock()
 		if len(r.buf) > 0 {
-			out := r.buf
-			r.buf = r.spare[:0]
-			r.spare = out
-			r.ctl = 0
+			m := r.buf[r.head]
+			if r.head++; 2*r.head >= len(r.buf) {
+				// At least half of buf is popped: slide the queue to the
+				// front, so buf stays within twice the backlog at
+				// amortized constant cost per pop.
+				n := copy(r.buf, r.buf[r.head:])
+				clear(r.buf[n:])
+				r.buf, r.head = r.buf[:n], 0
+			}
+			if m.Control() {
+				r.ctl--
+			}
+			r.mu.Unlock()
+			signal(r.space)
+			return *m, true
+		}
+		if r.closed {
+			r.mu.Unlock()
+			return Message{}, false
+		}
+		r.mu.Unlock()
+		<-r.wake
+	}
+}
+
+// NextBatch returns every message queued on the subscription, blocking
+// until at least one is queued or the subscription ends. It swaps the
+// whole delivery queue out in one mutex-guarded exchange, so a deep
+// queue costs one wakeup regardless of depth. The returned slice is
+// owned by the subscription and valid only until the next NextBatch
+// call; the messages it points to are shared with every other
+// subscriber and must not be modified. When ok is false the
+// subscription is finished (Cancel, eviction or network Close) and the
+// returned slice holds its final messages, possibly none. NextBatch must
+// only be called from a single consumer goroutine.
+func (s *Subscription) NextBatch() (batch []*Message, ok bool) {
+	r := &s.ring
+	for {
+		r.mu.Lock()
+		if len(r.buf) > 0 {
+			out := r.buf[r.head:]
+			r.buf, r.spare = r.spare[:0], r.buf
+			r.head, r.ctl = 0, 0
 			closed := r.closed
 			r.mu.Unlock()
 			// The queue just went empty: hand the space token to at most
 			// one publisher parked in a backpressure wait.
-			select {
-			case r.space <- struct{}{}:
-			default:
-			}
+			signal(r.space)
 			return out, !closed
 		}
 		if r.closed {
@@ -620,63 +613,6 @@ func (s *Subscription) NextBatch() (batch []*Message, ok bool) {
 		}
 		r.mu.Unlock()
 		<-r.wake
-	}
-}
-
-// trySend attempts a non-blocking delivery under the send gate. Channel
-// subscriptions receive msg; batch subscriptions queue shared, the
-// publish's one heap copy of it.
-func (s *Subscription) trySend(msg Message, shared *Message) sendResult {
-	if s.ring != nil {
-		return s.ring.push(shared)
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return sendGone
-	}
-	select {
-	case s.ch <- msg:
-		s.mu.Unlock()
-		return sendOK
-	default:
-	}
-	s.mu.Unlock()
-	return sendFull
-}
-
-// blockingSend waits for buffer space (backpressure); cancellation
-// releases it. For channel subscriptions the send itself happens outside
-// mu but is covered by inflight, which Cancel drains before closing ch.
-// For batch subscriptions it loops on the ring's space token — the
-// consumer releases one token per drain — re-attempting the gated push
-// each time, so the send-on-closed guarantee holds without a WaitGroup.
-func (s *Subscription) blockingSend(msg Message, shared *Message) sendResult {
-	if s.ring != nil {
-		for {
-			select {
-			case <-s.ring.space:
-			case <-s.done:
-				return sendGone
-			}
-			if res := s.ring.push(shared); res != sendFull {
-				return res
-			}
-		}
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return sendGone
-	}
-	s.inflight.Add(1)
-	s.mu.Unlock()
-	defer s.inflight.Done()
-	select {
-	case s.ch <- msg:
-		return sendOK
-	case <-s.done:
-		return sendGone
 	}
 }
 
@@ -730,57 +666,21 @@ func (n *Network) channelSet(channels []int) ([]int, error) {
 // buffer and the network's default slow-consumer policy (Block unless
 // WithPolicy configured otherwise).
 func (n *Network) Subscribe(channel, buffer int) (*Subscription, error) {
-	return n.SubscribeWith(channel, buffer, n.policy)
+	return n.SubscribeSet([]int{channel}, buffer, n.policy)
 }
 
-// SubscribeWith attaches a listener with an explicit slow-consumer
-// policy. Under Block, Publish waits when the subscriber's buffer is
-// full; under Evict or DropNewest, Publish never blocks on this
-// subscriber.
+// SubscribeWith attaches a listener to one channel with an explicit
+// slow-consumer policy.
 func (n *Network) SubscribeWith(channel, buffer int, policy Policy) (*Subscription, error) {
-	if channel < 0 || channel >= n.channels {
-		return nil, fmt.Errorf("multicast: channel %d outside [0,%d)", channel, n.channels)
-	}
-	if buffer < 0 {
-		buffer = 0
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed {
-		return nil, fmt.Errorf("multicast: network closed")
-	}
-	ch := make(chan Message, buffer)
-	sub := &Subscription{
-		C:        ch,
-		net:      n,
-		channels: []int{channel},
-		policy:   policy,
-		ch:       ch,
-		done:     make(chan struct{}),
-	}
-	n.subs[channel] = with(n.subs[channel], sub)
-	n.members[sub] = struct{}{}
-	return sub, nil
-}
-
-// SubscribeBatch attaches a batch-mode listener: messages are consumed
-// through NextBatch instead of C (which is nil), and each delivery is a
-// mutex-guarded ring append rather than a channel send. This is the
-// high-fan-out path the daemon's shared-frame forwarders use — with
-// thousands of subscribers per publish, the ring cuts the per-delivery
-// cost to a fraction of a channel operation and lets the consumer drain
-// arbitrarily deep queues in one swap. Policies, eviction, loss
-// injection and the crash-proof cancellation guarantees behave exactly
-// as with SubscribeWith. buffer is clamped to at least 1 (a batch
-// subscription has no rendezvous mode).
-func (n *Network) SubscribeBatch(channel, buffer int, policy Policy) (*Subscription, error) {
 	return n.SubscribeSet([]int{channel}, buffer, policy)
 }
 
-// SubscribeSet attaches a batch-mode listener (see SubscribeBatch) to
-// every channel of a set, possibly empty. Its ring holds buffer answers
-// per channel — a relay feed on k channels keeps the headroom of k
+// SubscribeSet attaches a listener to every channel of a set, possibly
+// empty. Its ring holds buffer answers per channel, clamped to at least
+// one — a relay feed on k channels keeps the headroom of k
 // single-channel subscriptions — and Rebind can re-point the set later.
+// Under Block, Publish waits when the ring is full; under Evict or
+// DropNewest, Publish never blocks on this subscriber.
 func (n *Network) SubscribeSet(channels []int, buffer int, policy Policy) (*Subscription, error) {
 	set, err := n.channelSet(channels)
 	if err != nil {
@@ -794,13 +694,12 @@ func (n *Network) SubscribeSet(channels []int, buffer int, policy Policy) (*Subs
 	if n.closed {
 		return nil, fmt.Errorf("multicast: network closed")
 	}
-	capacity := buffer * max(1, len(set))
 	sub := &Subscription{
 		net:      n,
 		channels: set,
 		policy:   policy,
-		ring: &msgRing{
-			cap:    capacity,
+		ring: msgRing{
+			cap:    buffer * max(1, len(set)),
 			buffer: buffer,
 			wake:   make(chan struct{}, 1),
 			space:  make(chan struct{}, 1),
@@ -818,107 +717,22 @@ func (n *Network) SubscribeSet(channels []int, buffer int, policy Policy) (*Subs
 // wire, one delivery per current subscriber. The message's Seq field is
 // assigned by the network. Publish blocks only on Block-policy
 // subscribers with full buffers; Evict and DropNewest subscribers can
-// never stall a publish cycle.
+// never stall a publish cycle. It is PublishBatch of a one-message run.
 func (n *Network) Publish(msg Message) error {
-	if msg.Channel < 0 || msg.Channel >= n.channels {
-		return fmt.Errorf("multicast: channel %d outside [0,%d)", msg.Channel, n.channels)
-	}
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return fmt.Errorf("multicast: network closed")
-	}
-	n.seqs[msg.Channel]++
-	msg.Seq = n.seqs[msg.Channel]
-	// Subscriber lists are immutable snapshots (see the subs field), so
-	// the steady-state publish path delivers without copying the list.
-	targets := n.subs[msg.Channel]
-	var drop []bool
-	if n.lossRate > 0 {
-		drop = make([]bool, len(targets))
-		for i := range targets {
-			drop[i] = n.rng.Float64() < n.lossRate
-		}
-	}
-	n.mu.Unlock()
-
-	if n.nowNano != nil {
-		msg.PublishedUnixNano = n.nowNano()
-	}
-	if n.encoder != nil && len(targets) > 0 {
-		// Encode once per publish: every subscriber below receives this
-		// same immutable frame. Encoding happens after seq assignment
-		// and timestamping (the frame carries both) and outside the
-		// network lock.
-		msg.Frame = n.encoder(msg)
-		n.mEncodes.Inc()
-	}
-
-	payload := uint64(msg.PayloadBytes())
-	n.messagesPublished.Add(1)
-	n.payloadBytesSent.Add(payload)
-	n.headerBytesSent.Add(uint64(msg.HeaderBytes()))
-	n.perChannel[msg.Channel].messages.Add(1)
-	n.perChannel[msg.Channel].payload.Add(payload)
-	var delivered, droppedCount uint64
-	var evicted []*Subscription
-	var shared *Message // heap copy for batch subscribers, made on first use
-	for i, sub := range targets {
-		if drop != nil && drop[i] {
-			n.dropped.Add(1)
-			droppedCount++
-			continue
-		}
-		if sub.ring != nil && shared == nil {
-			shared = heapCopy(msg)
-		}
-		res := sub.trySend(msg, shared)
-		if res == sendFull {
-			switch sub.policy {
-			case Block:
-				res = sub.blockingSend(msg, shared)
-			case DropNewest:
-				n.overflowDrops.Add(1)
-				droppedCount++
-				continue
-			case Evict:
-				evicted = append(evicted, sub)
-				continue
-			}
-		}
-		if res != sendOK {
-			continue // canceled between snapshot and delivery
-		}
-		n.deliveries.Add(1)
-		n.payloadBytesDelivered.Add(payload)
-		delivered++
-	}
-	n.evictAll(evicted)
-	if delivered > 0 {
-		n.mDeliveries.Add(delivered)
-	}
-	if droppedCount > 0 {
-		n.mDropped.Add(droppedCount)
-	}
-	return nil
+	return n.PublishBatch([]Message{msg})
 }
 
 // PublishBatch publishes a run of messages that all travel on the same
-// channel. It is observably equivalent to calling Publish on each
-// message in order, but amortizes the per-subscriber synchronization
-// across the run: sequence numbers are assigned under one network lock,
-// and each batch-mode subscriber's ring is locked once per stretch of
-// available space instead of once per message. With thousands of
-// subscribers and a hundred-odd messages per channel per cycle, the
-// per-delivery mutex round-trip is the dominant publish-side cost this
-// removes. Channel-mode subscribers receive the run as ordinary
-// per-message sends.
+// channel, in order, assigning each its Seq (and stamp and Frame) in
+// place. Sequence numbers are assigned under one network lock, one clock
+// read stamps the whole run, and each subscriber's ring is locked once
+// per stretch of available space instead of once per message. With
+// thousands of subscribers and a hundred-odd messages per channel per
+// cycle, the per-delivery mutex round-trip is the dominant publish-side
+// cost this removes.
 func (n *Network) PublishBatch(msgs []Message) error {
-	switch len(msgs) {
-	case 0:
+	if len(msgs) == 0 {
 		return nil
-	case 1:
-		return n.Publish(msgs[0])
 	}
 	ch := msgs[0].Channel
 	if ch < 0 || ch >= n.channels {
@@ -938,6 +752,8 @@ func (n *Network) PublishBatch(msgs []Message) error {
 		n.seqs[ch]++
 		msgs[i].Seq = n.seqs[ch]
 	}
+	// Subscriber lists are immutable snapshots (see the subs field), so
+	// the publish path delivers without copying the list.
 	targets := n.subs[ch]
 	// drop is the loss matrix, one contiguous row per target.
 	var drop []bool
@@ -949,11 +765,17 @@ func (n *Network) PublishBatch(msgs []Message) error {
 	}
 	n.mu.Unlock()
 
-	payloads := make([]uint64, len(msgs))
+	// Short runs, a single Publish among them, keep the payload sizes on
+	// the stack.
+	var small [16]uint64
+	payloads := small[:0]
+	if len(msgs) > len(small) {
+		payloads = make([]uint64, 0, len(msgs))
+	}
 	var sentPayload, sentHeader uint64
 	for i := range msgs {
 		p := uint64(msgs[i].PayloadBytes())
-		payloads[i] = p
+		payloads = append(payloads, p)
 		sentPayload += p
 		sentHeader += uint64(msgs[i].HeaderBytes())
 	}
@@ -967,6 +789,10 @@ func (n *Network) PublishBatch(msgs []Message) error {
 		}
 	}
 	if n.encoder != nil && len(targets) > 0 {
+		// Encode once per message: every subscriber below receives the
+		// same immutable frame. Encoding happens after seq assignment
+		// and timestamping (the frame carries both) and outside the
+		// network lock.
 		for i := range msgs {
 			msgs[i].Frame = n.encoder(msgs[i])
 		}
@@ -980,68 +806,39 @@ func (n *Network) PublishBatch(msgs []Message) error {
 
 	var delivered, deliveredBytes, lossDrops, overflow uint64
 	var evicted []*Subscription
-	var shared []Message // heap copy of the run for batch subscribers, made on first use
+	var shared []Message // heap copy of the run every ring points into
+	if len(targets) > 0 {
+		shared = append([]Message(nil), msgs...)
+	}
 	for ti, sub := range targets {
 		var dropRow []bool
 		if drop != nil {
 			dropRow = drop[ti*len(msgs) : (ti+1)*len(msgs)]
 		}
-		if sub.ring == nil {
-			// Channel-mode subscriber: per-message sends, as in Publish. A
-			// canceled or evicted subscriber ends its run early — the
-			// remaining messages could not land anyway.
-			for i := range msgs {
-				if dropRow != nil && dropRow[i] {
-					lossDrops++
-					continue
-				}
-				res := sub.trySend(msgs[i], nil)
-				if res == sendFull {
-					switch sub.policy {
-					case Block:
-						res = sub.blockingSend(msgs[i], nil)
-					case DropNewest:
-						overflow++
-						continue
-					case Evict:
-						evicted = append(evicted, sub)
-						res = sendGone
-					}
-				}
-				if res != sendOK {
-					break
-				}
-				delivered++
-				deliveredBytes += payloads[i]
-			}
-			continue
-		}
-		// Batch-mode subscriber: append the whole run under as few ring
-		// lock acquisitions as buffer space allows. Every ring shares one
-		// heap copy of the run.
-		if shared == nil {
-			shared = append([]Message(nil), msgs...)
-		}
-		r := sub.ring
+		// Append the whole run under as few ring lock acquisitions as
+		// buffer space allows.
+		r := &sub.ring
 		i := 0
 	run:
 		for i < len(msgs) {
 			r.mu.Lock()
 			if r.closed {
 				r.mu.Unlock()
-				break
+				break // canceled between snapshot and delivery
 			}
 			wasEmpty := len(r.buf) == 0
+			room := r.cap - r.answers()
 			for i < len(msgs) {
 				if dropRow != nil && dropRow[i] {
 					lossDrops++ // loss drops need no buffer space
 					i++
 					continue
 				}
-				if r.full() {
+				if room <= 0 {
 					break
 				}
 				r.buf = append(r.buf, &shared[i])
+				room--
 				delivered++
 				deliveredBytes += payloads[i]
 				i++
@@ -1049,10 +846,7 @@ func (n *Network) PublishBatch(msgs []Message) error {
 			nonEmpty := len(r.buf) > 0
 			r.mu.Unlock()
 			if wasEmpty && nonEmpty {
-				select {
-				case r.wake <- struct{}{}:
-				default:
-				}
+				signal(r.wake)
 			}
 			if i >= len(msgs) {
 				break
@@ -1089,15 +883,11 @@ func (n *Network) PublishBatch(msgs []Message) error {
 	return nil
 }
 
-// heapCopy returns a copy of msg on the heap, for batch subscribers to
-// share.
-func heapCopy(msg Message) *Message { return &msg }
-
 // evictAll cancels subscribers whose buffers were full under the Evict
 // policy, counting and reporting each eviction.
 func (n *Network) evictAll(evicted []*Subscription) {
 	for _, sub := range evicted {
-		sub.evicted.Store(true) // before Cancel: consumers see why C closed
+		sub.evicted.Store(true) // before Cancel: consumers see why the ring ended
 		sub.Cancel()
 		n.slowEvictions.Add(1)
 		n.mEvicted.Inc()

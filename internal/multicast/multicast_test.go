@@ -44,7 +44,7 @@ func TestPublishDeliversToSubscribers(t *testing.T) {
 	if err := n.Publish(testMessage(0, 10)); err != nil {
 		t.Fatal(err)
 	}
-	msg := <-sub.C
+	msg, _ := sub.Next()
 	if msg.Seq != 1 {
 		t.Fatalf("Seq = %d, want 1", msg.Seq)
 	}
@@ -59,11 +59,9 @@ func TestChannelIsolation(t *testing.T) {
 	sub0, _ := n.Subscribe(0, 4)
 	sub1, _ := n.Subscribe(1, 4)
 	n.Publish(testMessage(0, 1))
-	<-sub0.C
-	select {
-	case msg := <-sub1.C:
-		t.Fatalf("channel 1 received foreign message %v", msg)
-	default:
+	sub0.Next()
+	if d := sub1.Depth(); d != 0 {
+		t.Fatalf("channel 1 received %d foreign messages", d)
 	}
 }
 
@@ -75,13 +73,13 @@ func TestSeqPerChannel(t *testing.T) {
 	n.Publish(testMessage(0, 1))
 	n.Publish(testMessage(0, 1))
 	n.Publish(testMessage(1, 1))
-	if m := <-s0.C; m.Seq != 1 {
+	if m, _ := s0.Next(); m.Seq != 1 {
 		t.Fatalf("first message on ch0 Seq = %d", m.Seq)
 	}
-	if m := <-s0.C; m.Seq != 2 {
+	if m, _ := s0.Next(); m.Seq != 2 {
 		t.Fatalf("second message on ch0 Seq = %d", m.Seq)
 	}
-	if m := <-s1.C; m.Seq != 1 {
+	if m, _ := s1.Next(); m.Seq != 1 {
 		t.Fatalf("first message on ch1 Seq = %d (sequences are per channel)", m.Seq)
 	}
 }
@@ -104,8 +102,8 @@ func TestStatsAccounting(t *testing.T) {
 	b, _ := n.Subscribe(0, 4)
 	msg := testMessage(0, 6) // payload 24+6 = 30
 	n.Publish(msg)
-	<-a.C
-	<-b.C
+	a.Next()
+	b.Next()
 	st := n.Stats()
 	if st.MessagesPublished != 1 {
 		t.Fatalf("MessagesPublished = %d", st.MessagesPublished)
@@ -129,8 +127,8 @@ func TestCancelStopsDelivery(t *testing.T) {
 	defer n.Close()
 	sub, _ := n.Subscribe(0, 4)
 	sub.Cancel()
-	if _, ok := <-sub.C; ok {
-		t.Fatal("cancelled subscription channel should be closed")
+	if _, ok := sub.Next(); ok {
+		t.Fatal("cancelled subscription should report its end")
 	}
 	// Publishing afterwards must not block or deliver.
 	if err := n.Publish(testMessage(0, 1)); err != nil {
@@ -145,8 +143,8 @@ func TestCloseRejectsFurtherUse(t *testing.T) {
 	n, _ := NewNetwork(1)
 	sub, _ := n.Subscribe(0, 4)
 	n.Close()
-	if _, ok := <-sub.C; ok {
-		t.Fatal("close should close subscription channels")
+	if _, ok := sub.Next(); ok {
+		t.Fatal("close should end subscriptions")
 	}
 	if err := n.Publish(testMessage(0, 1)); err == nil {
 		t.Fatal("publish after close should fail")
@@ -163,10 +161,8 @@ func TestLossInjectionDropsAndCounts(t *testing.T) {
 	sub, _ := n.Subscribe(0, 4)
 	n.Publish(testMessage(0, 1))
 	n.Publish(testMessage(0, 1))
-	select {
-	case msg := <-sub.C:
-		t.Fatalf("lossy network delivered %v", msg)
-	default:
+	if d := sub.Depth(); d != 0 {
+		t.Fatalf("lossy network delivered %d messages", d)
 	}
 	st := n.Stats()
 	if st.Dropped != 2 || st.Deliveries != 0 {
@@ -190,7 +186,10 @@ func TestConcurrentPublishAndConsume(t *testing.T) {
 		wg.Add(1)
 		go func(ch int, sub *Subscription) {
 			defer wg.Done()
-			for range sub.C {
+			for {
+				if _, ok := sub.Next(); !ok {
+					return
+				}
 				received[ch]++
 				if received[ch] == perChannel {
 					return
@@ -264,14 +263,14 @@ func TestSubscribeDuringTraffic(t *testing.T) {
 	n.Publish(testMessage(0, 1))
 	late, _ := n.Subscribe(0, 16)
 	n.Publish(testMessage(0, 1))
-	if got := len(early.C); got != 2 {
+	if got := early.Depth(); got != 2 {
 		t.Fatalf("early subscriber buffered %d messages, want 2", got)
 	}
-	if got := len(late.C); got != 1 {
+	if got := late.Depth(); got != 1 {
 		t.Fatalf("late subscriber buffered %d messages, want 1 (no replay)", got)
 	}
 	// The late subscriber's first message exposes the missed sequence.
-	if msg := <-late.C; msg.Seq != 2 {
+	if msg, _ := late.Next(); msg.Seq != 2 {
 		t.Fatalf("late subscriber sees Seq %d, want 2", msg.Seq)
 	}
 }
@@ -284,7 +283,10 @@ func TestNegativeBufferClamped(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan Message, 1)
-	go func() { done <- <-sub.C }()
+	go func() {
+		msg, _ := sub.Next()
+		done <- msg
+	}()
 	if err := n.Publish(testMessage(0, 1)); err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,8 @@ func testMsg(channel int) Message {
 // TestEvictPolicy: a subscriber that stops draining is evicted at the
 // publish that finds its buffer full — the publish completes immediately
 // instead of blocking, the eviction is counted, and the subscriber's
-// channel closes after the buffered backlog.
+// queue ends after the buffered backlog (TestBatchEvictPolicy reads it
+// with NextBatch).
 func TestEvictPolicy(t *testing.T) {
 	n, err := NewNetwork(1)
 	if err != nil {
@@ -45,18 +46,22 @@ func TestEvictPolicy(t *testing.T) {
 	if !stalled.Evicted() {
 		t.Fatal("stalled subscription not marked evicted")
 	}
+	if healthy.Evicted() {
+		t.Fatal("healthy subscription marked evicted")
+	}
 	if len(evicted) != 1 || evicted[0] != stalled {
 		t.Fatalf("evict handler saw %v, want the stalled subscription", evicted)
 	}
-	// The backlog that fit the buffer is still delivered, then C closes.
-	if _, ok := <-stalled.C; !ok {
+	// The backlog that fit the buffer is still delivered, then the queue
+	// ends.
+	if _, ok := stalled.Next(); !ok {
 		t.Fatal("buffered message should survive eviction")
 	}
-	if _, ok := <-stalled.C; ok {
-		t.Fatal("evicted subscription's channel should close after its backlog")
+	if _, ok := stalled.Next(); ok {
+		t.Fatal("evicted subscription should end after its backlog")
 	}
 	// The healthy subscriber saw both messages.
-	if got := len(healthy.C); got != 2 {
+	if got := healthy.Depth(); got != 2 {
 		t.Fatalf("healthy subscriber has %d buffered messages, want 2", got)
 	}
 	healthy.Cancel()
@@ -80,26 +85,26 @@ func TestDropNewestPolicy(t *testing.T) {
 		}
 	}
 	st := n.Stats()
-	if st.OverflowDrops != 2 {
-		t.Fatalf("OverflowDrops = %d, want 2", st.OverflowDrops)
+	if st.OverflowDrops != 2 || st.Deliveries != 1 {
+		t.Fatalf("OverflowDrops = %d, Deliveries = %d; want 2, 1", st.OverflowDrops, st.Deliveries)
 	}
 	if st.SlowEvictions != 0 || sub.Evicted() {
 		t.Fatal("DropNewest must not evict")
 	}
 	// The first message survived; its seq is 1 and the next delivered
 	// message (after draining) exposes the gap to the client.
-	msg := <-sub.C
+	msg, _ := sub.Next()
 	if msg.Seq != 1 {
 		t.Fatalf("kept message seq = %d, want 1", msg.Seq)
 	}
 	if err := n.Publish(testMsg(0)); err != nil {
 		t.Fatal(err)
 	}
-	msg = <-sub.C
-	if msg.Seq != 4 {
-		t.Fatalf("post-drop message seq = %d, want 4 (seqs 2,3 dropped)", msg.Seq)
+	n.Close()
+	got := drainAll(sub)
+	if len(got) != 1 || got[0].Seq != 4 {
+		t.Fatalf("after the drops the subscription holds %v, want only seq 4 (seqs 2,3 dropped)", got)
 	}
-	sub.Cancel()
 }
 
 // TestParsePolicy covers the flag-facing round trip.

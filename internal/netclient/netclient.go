@@ -276,6 +276,14 @@ func (c *Client) runSession(ctx context.Context, sess Session) error {
 		case ev.Assigned != nil:
 			c.mu.Lock()
 			c.stats.Channel = ev.Assigned.Channel
+			// Only the assigned channel's high-water mark stays valid: on
+			// a return to a channel the client was moved off, the frames
+			// published there meanwhile are not a gap.
+			for ch := range c.lastSeq {
+				if ch != ev.Assigned.Channel {
+					delete(c.lastSeq, ch)
+				}
+			}
 			c.mu.Unlock()
 		case ev.Answer != nil:
 			if c.noteSeq(ev.Answer.Channel, ev.Answer.Seq) {

@@ -119,6 +119,59 @@ func TestGapTriggersRefresh(t *testing.T) {
 	}
 }
 
+// TestReassignmentIsNotAGap: a client moved off a channel and later
+// back onto it must not read the frames published there meanwhile as a
+// sequence gap (each such false gap made the daemon publish full answers
+// to every session).
+func TestReassignmentIsNotAGap(t *testing.T) {
+	sess := &fakeSession{
+		closed: make(chan struct{}),
+		events: []daemon.Event{
+			{Assigned: &wire.Assigned{Channel: 0}},
+			answerEvent(0, 1),
+			answerEvent(0, 2),
+			{Assigned: &wire.Assigned{Channel: 1}},
+			answerEvent(1, 4),
+			answerEvent(1, 5),
+			{Assigned: &wire.Assigned{Channel: 0}},
+			answerEvent(0, 9), // ch0 moved on while the client was on ch1
+		},
+	}
+	seen := make(chan daemon.Event, 16)
+	c, err := New(Config{
+		ClientID:    1,
+		Queries:     []query.Query{query.Range(1, geom.R(0, 0, 10, 10))},
+		MaxAttempts: 1,
+		Dial: func(string, int) (Session, error) {
+			return sess, nil
+		},
+		OnEvent: func(ev daemon.Event) { seen <- ev },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runDone := make(chan error, 1)
+	go func() { runDone <- c.Run(ctx) }()
+	for i := 0; i < 8; i++ {
+		select {
+		case <-seen:
+		case <-time.After(5 * time.Second):
+			t.Fatal("timed out waiting for scripted events")
+		}
+	}
+	cancel()
+	<-runDone
+
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	if st := c.Stats(); sess.refreshes != 0 || st.GapRefreshes != 0 {
+		t.Fatalf("refreshes = %d, GapRefreshes = %d; want 0 (no frame was missed on an assigned channel)",
+			sess.refreshes, st.GapRefreshes)
+	}
+}
+
 // TestBackoffGrowsAndCaps: the reconnect delay doubles per consecutive
 // failure, stays jittered within [d/2, d], and caps at MaxBackoff.
 func TestBackoffGrowsAndCaps(t *testing.T) {

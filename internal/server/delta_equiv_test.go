@@ -164,15 +164,11 @@ func TestDeltaPublishEquivalence(t *testing.T) {
 			}
 			drain := func(w *world) {
 				for ch, sub := range w.subs {
-					for drained := false; !drained; {
-						select {
-						case msg := <-sub.C:
-							w.msgs[ch] = append(w.msgs[ch], capture(msg))
-							for _, c := range w.clients {
-								c.Handle(msg)
-							}
-						default:
-							drained = true
+					for sub.Depth() > 0 {
+						msg, _ := sub.Next()
+						w.msgs[ch] = append(w.msgs[ch], capture(msg))
+						for _, c := range w.clients {
+							c.Handle(msg)
 						}
 					}
 				}
@@ -280,7 +276,7 @@ func TestDeltaPublishMatchesDatabase(t *testing.T) {
 		}
 	}
 	sub.Cancel()
-	for msg := range sub.C {
+	for msg, ok := sub.Next(); ok; msg, ok = sub.Next() {
 		for _, c := range clients {
 			c.Handle(msg)
 		}
@@ -320,7 +316,7 @@ func TestConcurrentSubscribePublishDelta(t *testing.T) {
 	wg.Add(1)
 	go func() { // drainer
 		defer wg.Done()
-		for range sub.C {
+		for _, ok := sub.Next(); ok; _, ok = sub.Next() {
 		}
 	}()
 	wg.Add(1)

@@ -79,7 +79,7 @@ func TestDriftDetectsDatabaseChurn(t *testing.T) {
 	m := &DriftMonitor{Threshold: 0.5}
 	sub, _ := net.Subscribe(0, 1024)
 	go func() {
-		for range sub.C {
+		for _, ok := sub.Next(); ok; _, ok = sub.Next() {
 		}
 	}()
 	// Cycle 1: database matches the estimate; no drift.

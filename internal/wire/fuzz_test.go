@@ -131,3 +131,65 @@ func FuzzUnmarshalRelayCtl(f *testing.F) {
 		}
 	})
 }
+
+func FuzzUnmarshalHello(f *testing.F) {
+	f.Add(MarshalHello(Hello{ClientID: 42}))
+	f.Add(MarshalHello(Hello{ClientID: -1}))
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xFF}, 9))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, err := UnmarshalHello(data)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(MarshalHello(h), data) {
+			t.Fatal("re-encoding differs from input")
+		}
+	})
+}
+
+func FuzzUnmarshalUnsubscribe(f *testing.F) {
+	f.Add(MarshalUnsubscribe(Unsubscribe{ID: 7}))
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xFF}, 9))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		u, err := UnmarshalUnsubscribe(data)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(MarshalUnsubscribe(u), data) {
+			t.Fatal("re-encoding differs from input")
+		}
+	})
+}
+
+func FuzzUnmarshalAssigned(f *testing.F) {
+	f.Add(MarshalAssigned(Assigned{Channel: 3, EstimatedCost: 1.5, InitialCost: 2}))
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xFF}, 20))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := UnmarshalAssigned(data)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(MarshalAssigned(a), data) {
+			t.Fatal("re-encoding differs from input")
+		}
+	})
+}
+
+func FuzzUnmarshalError(f *testing.F) {
+	f.Add(MarshalError(Error{Msg: "evicted: slow consumer"}))
+	f.Add(MarshalError(Error{}))
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xFF}, 8))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e, err := UnmarshalError(data)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(MarshalError(e), data) {
+			t.Fatal("re-encoding differs from input")
+		}
+	})
+}

@@ -193,13 +193,11 @@ func TestFacadeScheduler(t *testing.T) {
 	if len(rep.Fired) != 1 || rep.Fired[0] != 2 {
 		t.Fatalf("tick 2 fired %v, want [2]", rep.Fired)
 	}
-	select {
-	case msg := <-sub.C:
-		if len(msg.Tuples) != 1 {
-			t.Fatalf("message has %d tuples, want 1", len(msg.Tuples))
-		}
-	default:
+	if sub.Depth() == 0 {
 		t.Fatal("no message published")
+	}
+	if msg, _ := sub.Next(); len(msg.Tuples) != 1 {
+		t.Fatalf("message has %d tuples, want 1", len(msg.Tuples))
 	}
 }
 
@@ -350,7 +348,7 @@ func TestGrandTour(t *testing.T) {
 		}
 	}
 	sub.Cancel()
-	for msg := range sub.C {
+	for msg, ok := sub.Next(); ok; msg, ok = sub.Next() {
 		for _, c := range clients {
 			c.Handle(msg)
 		}
